@@ -20,11 +20,17 @@ All roots are located by a linear sign-change scan (400 points) followed by
 bisection, and every returned root re-checks its own residual.  The scan
 refuses to proceed if it sees more than one sign change, so an unexpected
 multi-root geometry fails loudly instead of returning garbage.
+
+The sec-lower curve depends on neither ``xi_sk`` nor ``tol``, so its
+600-point parametric sweep is solved once per process, on the first
+:func:`emit_curves` call, and shared by every later call.  Weak and sec-upper
+roots are solved on every call.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -258,8 +264,13 @@ def sec_lower_solve(beta: float, tol: float = 1e-10) -> SectionalLowerSolve:
     return SectionalLowerSolve(beta=beta, theta_hat=theta, alpha_bound=alpha_bound)
 
 
-def _sec_lower_sweep() -> tuple[list[float], list[float]]:
-    """Trace the lower-bound curve parametrically: beta grid -> alpha grid."""
+@functools.cache
+def _sec_lower_sweep() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Trace the lower-bound curve parametrically: beta grid -> alpha grid.
+
+    Cached for the life of the process; tuples keep the shared result
+    immutable.
+    """
     alphas: list[float] = []
     betas: list[float] = []
     for i in range(_SWEEP_POINTS):
@@ -274,7 +285,7 @@ def _sec_lower_sweep() -> tuple[list[float], list[float]]:
         raise NumericalError("sectional lower-bound sweep produced < 2 points")
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise ConsistencyError("sectional lower-bound sweep is not monotone in alpha")
-    return alphas, betas
+    return tuple(alphas), tuple(betas)
 
 
 def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -295,9 +306,9 @@ def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT,
     """Sample all three curves on an alpha grid.
 
     Weak and sectional-upper points come from direct root solves at each
-    alpha; sectional-lower points come from the parametric beta sweep
-    interpolated onto the grid.  Emitted points are checked against the
-    ordering invariant sec-lower <= sec-upper <= weak.
+    alpha; sectional-lower points come from the parametric beta sweep, solved
+    once per process and interpolated onto the grid.  Emitted points are
+    checked against the ordering invariant sec-lower <= sec-upper <= weak.
     """
     grid = [float(a) for a in alphas]
     for a in grid:

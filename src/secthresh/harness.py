@@ -12,7 +12,6 @@ side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -42,17 +41,25 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class RepRecord:
+    """One rep's outcome.  An errored rep raised a library error; its verdict
+    is NotCertified and ``diagnostic`` names the error."""
+
     seed: int
     verdict: Verdict
     flips: int
     seconds: float
     diagnostic: str = ""
+    errored: bool = False
 
 
 @dataclass
 class CellResult:
+    """A cell's reps.  ``failures`` counts certified failures and ``errors``
+    the reps that errored; both are out of ``spec.reps``."""
+
     spec: CellSpec
     failures: int = 0
+    errors: int = 0
     per_rep: list[RepRecord] = field(default_factory=list)
     paper_reference_rate: Optional[float] = None
 
@@ -134,7 +141,8 @@ def _run_rep(args: tuple[int, int, int, int, SolveOptions]) -> RepRecord:
         outcome = estimate_failure(instance, k, opts)
     except SecthreshError as exc:
         return RepRecord(seed=seed, verdict=Verdict.NotCertified, flips=0,
-                         seconds=0.0, diagnostic=f"{type(exc).__name__}: {exc}")
+                         seconds=0.0, diagnostic=f"{type(exc).__name__}: {exc}",
+                         errored=True)
     return RepRecord(seed=seed, verdict=outcome.verdict, flips=outcome.flips_evaluated,
                      seconds=outcome.seconds, diagnostic=outcome.diagnostic)
 
@@ -145,12 +153,19 @@ def run_cell(spec: CellSpec, opts: SolveOptions = DEFAULT_OPTIONS,
     tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r), opts)
              for r in range(spec.reps)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # The workers sample instances, which needs numpy.random; load it
+        # before they fork so that they share its pages.
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_rep, tasks))
     else:
         records = [_run_rep(t) for t in tasks]
     failures = sum(1 for r in records if r.verdict is Verdict.CertifiedFailure)
-    return CellResult(spec=spec, failures=failures, per_rep=records,
+    errors = sum(1 for r in records if r.errored)
+    return CellResult(spec=spec, failures=failures, errors=errors, per_rep=records,
                       paper_reference_rate=paper_rate(spec.n, spec.m, spec.k))
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
 
 from .errors import DomainError, NumericalError
 
@@ -78,6 +77,10 @@ def _philox_normals(seed: int, count: int) -> np.ndarray:
     Each 64-bit word maps to a uniform; word pairs map to normal pairs.  The
     first uniform is shifted into (0, 1] so the logarithm never sees zero.
     """
+    # Imported here, not at module level, so that `import secthresh` does not
+    # load numpy.random for callers that never sample.
+    from numpy.random import Philox
+
     pairs = (count + 1) // 2
     raw = Philox(key=seed & _MASK64).random_raw(2 * pairs)
     u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
@@ -110,11 +113,17 @@ def null_projector(instance: GaussianInstance) -> NullProjector:
     Raises
     ------
     NumericalError
-        If A is (numerically) rank deficient: smallest singular value below
-        1e-8 times the largest.
+        If A has a non-finite entry, if the SVD does not converge, or if A is
+        (numerically) rank deficient: smallest singular value below 1e-8
+        times the largest.
     """
-    m, n = instance.shape.m, instance.shape.n
-    _, s, vh = np.linalg.svd(instance.A, full_matrices=True)
+    m = instance.shape.m
+    if not np.isfinite(instance.A).all():
+        raise NumericalError("matrix has a non-finite entry")
+    try:
+        _, s, vh = np.linalg.svd(instance.A, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed: {exc}") from exc
     if s[-1] <= 1e-8 * s[0]:
         raise NumericalError(
             f"rank-deficient matrix: singular values span [{s[-1]:.3e}, {s[0]:.3e}]"

@@ -2,8 +2,11 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
+import secthresh.cli as cli
+from secthresh import DomainError
 from secthresh.cli import main
 
 
@@ -23,6 +26,29 @@ class TestCurvesCommand:
         assert run_cli("curves", "--grid", "nope", "--out", str(out)) == 2
         assert not out.exists()
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0.1:inf:0.1", "nan:0.5:0.1", "0.1:0.5:nan"])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, grid):
+        out = tmp_path / "c.csv"
+        assert run_cli("curves", "--grid", grid, "--out", str(out)) == 2
+        assert not out.exists()
+        capsys.readouterr()
+
+    def test_oversized_grid_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("emit_curves called on an oversized grid")
+
+        monkeypatch.setattr(cli, "emit_curves", unreachable)
+        out = tmp_path / "c.csv"
+        assert run_cli("curves", "--grid", "0.1:0.9:1e-7", "--out", str(out)) == 2
+        assert not out.exists()
+        assert "more than 10000 points" in capsys.readouterr().err
+
+    def test_grid_cap_boundary(self):
+        assert cli.MAX_GRID_POINTS == 10_000
+        assert len(cli._parse_grid("1:10000:1")) == 10_000
+        with pytest.raises(DomainError):
+            cli._parse_grid("1:10001:1")
 
     def test_degenerate_coupling_collapses_rows(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -101,10 +127,12 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--cell", "30,24,10", "--reps", "2",
                        "--seed", "4", "--out", str(out), "--workers", "1") == 0
         rows = out.read_text().splitlines()
-        assert rows[0] == "n,m,k,reps,failures,rate,paper_rate,mean_flips,mean_seconds"
+        assert rows[0] == ("n,m,k,reps,failures,rate,paper_rate,mean_flips,errors,"
+                           "mean_seconds")
         fields = rows[1].split(",")
         assert fields[:4] == ["30", "24", "10", "2"]
         assert fields[6] == ""  # not a tabulated cell
+        assert fields[8] == "0"  # no rep errored
         capsys.readouterr()
 
     def test_rerun_stable_modulo_timing(self, tmp_path, capsys):
@@ -175,6 +203,17 @@ class TestCertifyCommand:
         mat.write_text("1,2,3\n2,4,6\n")
         assert run_cli("certify", "--matrix", str(mat), "--k", "1") == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, capsys, bad):
+        A = np.random.default_rng(3).standard_normal((5, 12))
+        rows = [[repr(float(v)) for v in row] for row in A]
+        rows[2][7] = bad
+        mat = tmp_path / "m.csv"
+        mat.write_text("".join(",".join(row) + "\n" for row in rows))
+        assert run_cli("certify", "--matrix", str(mat), "--k", "2") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: non-finite entry on line 3"]
 
     def test_missing_file(self, tmp_path, capsys):
         assert run_cli("certify", "--matrix", str(tmp_path / "nope.csv"),

@@ -5,6 +5,7 @@ from secthresh import (XI_SK_DEFAULT, ConsistencyError, CurveKind, DomainError,
                        adjusted_dims, emit_curves, sec_lower_solve,
                        sec_upper_beta, sec_upper_residual, weak_beta,
                        weak_residual)
+import secthresh.curves as curves
 from secthresh.curves import mg_ratio_closed_form
 
 # Frozen from tests/oracles.py (scipy brentq on independently transcribed
@@ -163,3 +164,40 @@ class TestEmitCurves:
             emit_curves([0.0])
         with pytest.raises(DomainError):
             emit_curves([0.99])
+
+
+class TestSecLowerSweepCache:
+    GRID = [0.2, 0.5, 0.8]
+
+    def test_solved_once_across_xi_and_tol(self, monkeypatch):
+        calls = []
+        original = curves.sec_lower_solve
+
+        def counted(beta, *args, **kwargs):
+            calls.append(beta)
+            return original(beta, *args, **kwargs)
+
+        curves._sec_lower_sweep.cache_clear()
+        monkeypatch.setattr(curves, "sec_lower_solve", counted)
+        first = emit_curves(self.GRID, xi_sk=0.3)
+        second = emit_curves(self.GRID, xi_sk=XI_SK_DEFAULT)
+        assert len(calls) == 600
+        emit_curves(self.GRID, tol=1e-8)
+        assert len(calls) == 600
+        lower = [[p.beta for p in c.by_kind(CurveKind.SectionalLower)]
+                 for c in (first, second)]
+        assert lower[0] == lower[1]
+        upper = [[p.beta for p in c.by_kind(CurveKind.SectionalUpper)]
+                 for c in (first, second)]
+        assert upper[0] != upper[1]
+
+    def test_cold_and_warm_calls_agree(self):
+        curves._sec_lower_sweep.cache_clear()
+        cold = emit_curves(self.GRID)
+        assert curves._sec_lower_sweep.cache_info().currsize == 1
+        warm = emit_curves(self.GRID)
+        assert cold.points == warm.points
+
+    def test_shared_sweep_is_immutable(self):
+        alphas, betas = curves._sec_lower_sweep()
+        assert isinstance(alphas, tuple) and isinstance(betas, tuple)

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from secthresh import (DEFAULT_OPTIONS, CellSpec, DomainError, Verdict,
-                       builtin_suite, builtin_tables, derive_rep_seed,
+import secthresh
+import secthresh.harness as harness
+from secthresh import (DEFAULT_OPTIONS, CellSpec, DomainError, NumericalError,
+                       Verdict, builtin_suite, builtin_tables, derive_rep_seed,
                        paper_rate, run_cell, run_suite)
 
 
@@ -75,6 +82,18 @@ class TestRunCell:
         # threshold curve, so all reps should certify.
         assert all(r.verdict is Verdict.CertifiedFailure for r in res.per_rep)
 
+    def test_errored_reps_counted(self, monkeypatch):
+        def broken(instance, k, opts):
+            raise NumericalError("forced")
+
+        monkeypatch.setattr(harness, "estimate_failure", broken)
+        res = run_cell(CellSpec(n=30, m=24, k=10, reps=3), DEFAULT_OPTIONS)
+        assert res.errors == 3
+        assert res.failures == 0
+        for rec in res.per_rep:
+            assert rec.errored and rec.verdict is Verdict.NotCertified
+            assert rec.diagnostic == "NumericalError: forced"
+
     def test_reference_rate_joined(self):
         res = run_cell(CellSpec(n=400, m=80, k=10, reps=1), DEFAULT_OPTIONS)
         assert res.paper_reference_rate == pytest.approx(0.0)
@@ -90,3 +109,17 @@ def test_run_suite_order_preserved():
              CellSpec(n=30, m=24, k=12, reps=1)]
     results = run_suite(cells, DEFAULT_OPTIONS)
     assert [r.spec for r in results] == cells
+
+
+def test_import_loads_neither_sampler_nor_pool():
+    # numpy.random is loaded on the first sample and the process pool on the
+    # first parallel cell, not by `import secthresh`.
+    src = str(Path(secthresh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = ("import sys, secthresh; "
+            "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -86,6 +86,13 @@ class TestNullProjector:
         with pytest.raises(NumericalError):
             null_projector_from_matrix(A, k=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_numerical_error(self, bad):
+        A = np.random.default_rng(3).standard_normal((5, 12))
+        A[2, 7] = bad
+        with pytest.raises(NumericalError):
+            null_projector_from_matrix(A, k=2)
+
 
 class TestDeriveRepSeed:
     def test_deterministic(self):
