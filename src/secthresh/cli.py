@@ -30,7 +30,7 @@ import numpy as np
 from .curves import XI_SK_DEFAULT, CurveKind, emit_curves
 from .errors import (CertificateError, ConsistencyError, DomainError,
                      NumericalError, SecthreshError, UsageError)
-from .harness import CellSpec, builtin_suite, paper_rate, run_suite
+from .harness import MAX_REPS, CellSpec, builtin_suite, paper_rate, run_suite
 from .instances import ProblemShape, sample_gaussian_matrix
 from .tau import DEFAULT_OPTIONS, Verdict, estimate_failure
 
@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--builtin", choices=("table1", "table2"), default=None)
     p_sim.add_argument("--suite", default=None, help="JSON suite spec path")
     p_sim.add_argument("--cell", default=None, help="inline cell n,m,k")
-    p_sim.add_argument("--reps", type=int, default=25)
+    p_sim.add_argument("--reps", type=int, default=25,
+                       help=f"reps per cell, 1 to {MAX_REPS} (default 25)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default="results.csv")
     p_sim.add_argument("--workers", type=int, default=0,

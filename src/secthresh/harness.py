@@ -1,9 +1,11 @@
 """Monte Carlo harness: failure-rate estimation over (n, m, k) cells.
 
 Each cell draws ``reps`` seeded Gaussian instances, runs the certification
-pipeline on each, and reports the fraction certified.  Per-rep seeds are
-pre-derived from the cell's base seed, so results are identical no matter how
-the work is scheduled across processes.
+pipeline on each, and reports the fraction certified.  A suite runs every rep
+of every cell on one process pool, so the workers stay busy across cell
+boundaries.  Per-rep seeds are pre-derived from the cell's base seed, so
+results are identical no matter how the work is scheduled or how many workers
+run it.
 
 The reference counts from the original simulation study are embedded for
 side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
@@ -13,11 +15,16 @@ side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import DomainError, SecthreshError
 from .instances import ProblemShape, derive_rep_seed, sample_gaussian_matrix
 from .tau import DEFAULT_OPTIONS, SolveOptions, Verdict, estimate_failure
+
+# A suite's (cell, rep) tasks are listed before any rep runs, so the rep count
+# is capped to keep that list small.
+MAX_REPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -35,8 +42,8 @@ class CellSpec:
             raise DomainError(f"need m < n, got m={self.m} n={self.n}")
         if not (1 <= self.k < self.m):
             raise DomainError(f"need 1 <= k < m, got k={self.k} m={self.m}")
-        if self.reps < 1:
-            raise DomainError(f"need reps >= 1, got {self.reps}")
+        if not (1 <= self.reps <= MAX_REPS):
+            raise DomainError(f"need 1 <= reps <= {MAX_REPS}, got {self.reps}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,8 @@ class RepRecord:
 @dataclass
 class CellResult:
     """A cell's reps.  ``failures`` counts certified failures and ``errors``
-    the reps that errored; both are out of ``spec.reps``."""
+    the reps that errored; both are out of ``spec.reps``.  The means are over
+    the reps that did not error, and read 0.0 if every rep errored."""
 
     spec: CellSpec
     failures: int = 0
@@ -69,11 +77,15 @@ class CellResult:
 
     @property
     def mean_flips(self) -> float:
-        return sum(r.flips for r in self.per_rep) / len(self.per_rep)
+        return _mean([r.flips for r in self.per_rep if not r.errored])
 
     @property
     def mean_seconds(self) -> float:
-        return sum(r.seconds for r in self.per_rep) / len(self.per_rep)
+        return _mean([r.seconds for r in self.per_rep if not r.errored])
+
+
+def _mean(values: list) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 # Reference failure counts (errors, repetitions) from the original simulation
@@ -150,8 +162,16 @@ def _run_rep(args: tuple[int, int, int, int, SolveOptions]) -> RepRecord:
 def run_cell(spec: CellSpec, opts: SolveOptions = DEFAULT_OPTIONS,
              workers: int = 1) -> CellResult:
     """Run one cell; per-rep failures never abort the cell."""
+    return run_suite([spec], opts, workers)[0]
+
+
+def run_suite(cells: Sequence[CellSpec], opts: SolveOptions = DEFAULT_OPTIONS,
+              workers: int = 1) -> list[CellResult]:
+    """Run cells in order, every rep of the suite on one pool of at most
+    ``workers`` processes; the results do not depend on the worker count."""
     tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r), opts)
-             for r in range(spec.reps)]
+             for spec in cells for r in range(spec.reps)]
+    workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -163,13 +183,13 @@ def run_cell(spec: CellSpec, opts: SolveOptions = DEFAULT_OPTIONS,
             records = list(pool.map(_run_rep, tasks))
     else:
         records = [_run_rep(t) for t in tasks]
+    # pool.map keeps task order, so each cell's reps are the next spec.reps.
+    ordered = iter(records)
+    return [_cell_result(spec, list(islice(ordered, spec.reps))) for spec in cells]
+
+
+def _cell_result(spec: CellSpec, records: list[RepRecord]) -> CellResult:
     failures = sum(1 for r in records if r.verdict is Verdict.CertifiedFailure)
     errors = sum(1 for r in records if r.errored)
     return CellResult(spec=spec, failures=failures, errors=errors, per_rep=records,
                       paper_reference_rate=paper_rate(spec.n, spec.m, spec.k))
-
-
-def run_suite(cells: Sequence[CellSpec], opts: SolveOptions = DEFAULT_OPTIONS,
-              workers: int = 1) -> list[CellResult]:
-    """Run cells in order; determinism is independent of the worker count."""
-    return [run_cell(spec, opts, workers=workers) for spec in cells]

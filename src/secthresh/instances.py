@@ -83,13 +83,23 @@ def _philox_normals(seed: int, count: int) -> np.ndarray:
 
     pairs = (count + 1) // 2
     raw = Philox(key=seed & _MASK64).random_raw(2 * pairs)
-    u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * _TWO_NEG53
-    u2 = (raw[1::2] >> np.uint64(11)) * _TWO_NEG53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * math.pi * u2
+    # Each step after the first works in place, in the order of
+    # radius = sqrt(-2 log u1) and angle = 2 pi u2, so the bits do not change.
+    # The transcendental functions see contiguous arrays only.
+    bits = raw[0::2] >> np.uint64(11)
+    bits += np.uint64(1)
+    radius = bits * _TWO_NEG53
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = (raw[1::2] >> np.uint64(11)) * _TWO_NEG53
+    angle *= 2.0 * math.pi
+    del raw, bits
     out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    trig = np.cos(angle)
+    np.multiply(radius, trig, out=out[0::2])
+    np.sin(angle, out=trig)
+    np.multiply(radius, trig, out=out[1::2])
     return out[:count]
 
 
@@ -128,8 +138,9 @@ def null_projector(instance: GaussianInstance) -> NullProjector:
         raise NumericalError(
             f"rank-deficient matrix: singular values span [{s[-1]:.3e}, {s[0]:.3e}]"
         )
-    Dperp = vh[m:].copy()
-    rowspace = vh[:m].copy()
+    # Read-only views that share the SVD's vh rather than copies of it.
+    Dperp = vh[m:]
+    rowspace = vh[:m]
     Dperp.setflags(write=False)
     rowspace.setflags(write=False)
     return NullProjector(shape=instance.shape, Dperp=Dperp, rowspace=rowspace, A=instance.A)

@@ -29,6 +29,7 @@ exactly what drives the slice off the row space and the distance positive.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -150,17 +151,20 @@ def _box_lsq(M: np.ndarray, c: np.ndarray, x0: np.ndarray,
     it = 0
     for it in range(1, max_iter + 1):
         g = M.T @ (M @ y - c)
-        xn = np.clip(y - g, -1.0, 1.0)
+        # minimum(maximum(.)) gives np.clip's bits for finite input and costs
+        # less than np.clip on vectors of this size.
+        xn = np.minimum(np.maximum(y - g, -1.0), 1.0)
         if np.dot(g, xn - x) > 0.0:
             t_mom, y = 1.0, xn
         else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
             y = xn + ((t_mom - 1.0) / t_next) * (xn - x)
             t_mom = t_next
         x = xn
         if it % check_every == 0 or it == max_iter:
             gx = M.T @ (M @ x - c)
-            if np.max(np.abs(np.clip(x - gx, -1.0, 1.0) - x), initial=0.0) <= tol:
+            step = np.minimum(np.maximum(x - gx, -1.0), 1.0) - x
+            if np.max(np.abs(step), initial=0.0) <= tol:
                 return x, it, True
     return x, it, False
 

@@ -8,6 +8,7 @@ import pytest
 import secthresh.cli as cli
 from secthresh import DomainError
 from secthresh.cli import main
+from secthresh.harness import MAX_REPS
 
 
 def run_cli(*argv):
@@ -112,6 +113,23 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--cell", "30,24,10", "--reps", "0",
                        "--out", str(tmp_path / "r.csv")) == 2
         capsys.readouterr()
+
+    def test_reps_cap(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("run_suite called with too many reps")
+
+        monkeypatch.setattr(cli, "run_suite", unreachable)
+        too_many = MAX_REPS + 1
+        assert run_cli("simulate", "--cell", "30,24,10", "--reps", str(too_many),
+                       "--out", str(tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "reps" in err
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps([{"n": 30, "m": 24, "k": 10, "reps": too_many}]))
+        assert run_cli("simulate", "--suite", str(suite),
+                       "--out", str(tmp_path / "r.csv")) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not (tmp_path / "r.csv").exists()
 
     def test_malformed_cell(self, tmp_path, capsys):
         assert run_cli("simulate", "--cell", "30;24;10",

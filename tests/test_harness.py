@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import secthresh.harness as harness
 from secthresh import (DEFAULT_OPTIONS, CellSpec, DomainError, NumericalError,
                        Verdict, builtin_suite, builtin_tables, derive_rep_seed,
                        paper_rate, run_cell, run_suite)
+from secthresh.harness import MAX_REPS
 
 
 class TestBuiltinTables:
@@ -56,6 +58,11 @@ class TestCellSpec:
         with pytest.raises(DomainError):
             CellSpec(n=100, m=50, k=5, reps=0)
 
+    def test_reps_cap(self):
+        assert CellSpec(n=100, m=50, k=5, reps=MAX_REPS).reps == MAX_REPS
+        with pytest.raises(DomainError, match="reps"):
+            CellSpec(n=100, m=50, k=5, reps=MAX_REPS + 1)
+
 
 class TestRunCell:
     def test_single_rep(self):
@@ -93,6 +100,28 @@ class TestRunCell:
         for rec in res.per_rep:
             assert rec.errored and rec.verdict is Verdict.NotCertified
             assert rec.diagnostic == "NumericalError: forced"
+        assert res.mean_flips == 0.0 and res.mean_seconds == 0.0
+
+    def test_means_skip_errored_reps(self, monkeypatch):
+        spec = CellSpec(n=30, m=24, k=12, reps=2)
+        clean = run_cell(spec, DEFAULT_OPTIONS).per_rep[1]
+        original = harness.estimate_failure
+        calls = []
+
+        def first_rep_breaks(instance, k, opts):
+            calls.append(instance.seed)
+            if len(calls) == 1:
+                raise NumericalError("forced")
+            return original(instance, k, opts)
+
+        monkeypatch.setattr(harness, "estimate_failure", first_rep_breaks)
+        res = run_cell(spec, DEFAULT_OPTIONS)
+        assert res.errors == 1 and res.per_rep[0].errored
+        assert res.per_rep[1].flips == clean.flips > 0
+        assert res.mean_flips == clean.flips
+        assert res.mean_seconds == res.per_rep[1].seconds
+        # rate still counts every rep, errored ones included.
+        assert res.rate == res.failures / 2
 
     def test_reference_rate_joined(self):
         res = run_cell(CellSpec(n=400, m=80, k=10, reps=1), DEFAULT_OPTIONS)
@@ -109,6 +138,58 @@ def test_run_suite_order_preserved():
              CellSpec(n=30, m=24, k=12, reps=1)]
     results = run_suite(cells, DEFAULT_OPTIONS)
     assert [r.spec for r in results] == cells
+
+
+# Shapes, rep counts and base seeds all differ between cells, so a rep that
+# landed in the wrong cell would change a seed or a count.
+MIXED_SUITE = [CellSpec(n=30, m=24, k=12, reps=2, base_seed=1),
+               CellSpec(n=40, m=20, k=8, reps=3, base_seed=11),
+               CellSpec(n=24, m=18, k=9, reps=1, base_seed=5)]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool started while the test runs."""
+    sizes = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return sizes
+
+
+def rep_fields(results):
+    return [[(r.seed, r.verdict, r.flips, r.errored) for r in res.per_rep]
+            for res in results]
+
+
+def cell_fields(results):
+    return [(res.spec, res.failures, res.errors, res.paper_reference_rate)
+            for res in results]
+
+
+def test_suite_on_one_pool_identical_across_workers(pool_sizes):
+    serial = run_suite(MIXED_SUITE, DEFAULT_OPTIONS, workers=1)
+    assert pool_sizes == []
+    parallel = run_suite(MIXED_SUITE, DEFAULT_OPTIONS, workers=2)
+    assert pool_sizes == [2]  # one pool for all three cells
+    assert rep_fields(serial) == rep_fields(parallel)
+    assert cell_fields(serial) == cell_fields(parallel)
+    assert [len(res.per_rep) for res in parallel] == [2, 3, 1]
+    assert [r.seed for r in parallel[1].per_rep] == [derive_rep_seed(11, i) for i in range(3)]
+
+
+def test_more_workers_than_tasks(pool_sizes):
+    cells = MIXED_SUITE[:1]
+    parallel = run_suite(cells, DEFAULT_OPTIONS, workers=8)
+    assert pool_sizes == [2]  # one worker for each of the two reps
+    assert rep_fields(parallel) == rep_fields(run_suite(cells, DEFAULT_OPTIONS))
+    # A single rep needs no pool at all.
+    run_cell(MIXED_SUITE[2], DEFAULT_OPTIONS, workers=8)
+    assert pool_sizes == [2]
 
 
 def test_import_loads_neither_sampler_nor_pool():
