@@ -12,10 +12,10 @@ explicit, independently re-checkable witness; NotCertified is one-sided and
 proves nothing.
 """
 
-from .curves import (XI_SK_DEFAULT, AdjustedDims, CurveKind, CurveSet,
-                     SectionalLowerSolve, ThresholdPoint, adjusted_dims,
-                     emit_curves, sec_lower_solve, sec_upper_beta,
-                     sec_upper_residual, weak_beta, weak_residual)
+from .curves import (XI_SK_DEFAULT, CurveKind, CurveSet, SectionalLowerSolve,
+                     ThresholdPoint, emit_curves, sec_lower_solve,
+                     sec_upper_beta, sec_upper_residual, weak_beta,
+                     weak_residual)
 from .errors import (CertificateError, ConsistencyError, DomainError,
                      NumericalError, SecthreshError, UsageError)
 from .harness import (CellResult, CellSpec, RepRecord, builtin_suite,
@@ -23,29 +23,28 @@ from .harness import (CellResult, CellSpec, RepRecord, builtin_suite,
 from .instances import (GaussianInstance, NullProjector, ProblemShape,
                         derive_rep_seed, null_projector,
                         null_projector_from_matrix, sample_gaussian_matrix)
-from .special import Probability, erf, erfc, erfinv, gauss_density
+from .special import erf, erfc, erfinv
 from .tau import (DEFAULT_OPTIONS, Certificate, ConstructionReport, DualSolve,
                   SolveOptions, TauOutcome, Verdict, bit_flip_search,
                   dual_distance, estimate_failure, extract_certificate,
-                  primal_tau_reference, verify_theorem2_construction)
+                  verify_theorem2_construction)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "XI_SK_DEFAULT", "AdjustedDims", "CurveKind", "CurveSet",
-    "SectionalLowerSolve", "ThresholdPoint", "adjusted_dims", "emit_curves",
-    "sec_lower_solve", "sec_upper_beta", "sec_upper_residual", "weak_beta",
-    "weak_residual",
+    "XI_SK_DEFAULT", "CurveKind", "CurveSet", "SectionalLowerSolve",
+    "ThresholdPoint", "emit_curves", "sec_lower_solve", "sec_upper_beta",
+    "sec_upper_residual", "weak_beta", "weak_residual",
     "CertificateError", "ConsistencyError", "DomainError", "NumericalError",
     "SecthreshError", "UsageError",
     "CellResult", "CellSpec", "RepRecord", "builtin_suite", "builtin_tables",
     "paper_rate", "run_cell", "run_suite",
     "GaussianInstance", "NullProjector", "ProblemShape", "derive_rep_seed",
     "null_projector", "null_projector_from_matrix", "sample_gaussian_matrix",
-    "Probability", "erf", "erfc", "erfinv", "gauss_density",
+    "erf", "erfc", "erfinv",
     "DEFAULT_OPTIONS", "Certificate", "ConstructionReport", "DualSolve",
     "SolveOptions", "TauOutcome", "Verdict", "bit_flip_search",
     "dual_distance", "estimate_failure", "extract_certificate",
-    "primal_tau_reference", "verify_theorem2_construction",
+    "verify_theorem2_construction",
     "__version__",
 ]

@@ -30,8 +30,8 @@ import numpy as np
 from .curves import XI_SK_DEFAULT, CurveKind, emit_curves
 from .errors import (CertificateError, ConsistencyError, DomainError,
                      NumericalError, SecthreshError, UsageError)
-from .harness import MAX_REPS, CellSpec, builtin_suite, paper_rate, run_suite
-from .instances import ProblemShape, sample_gaussian_matrix
+from .harness import MAX_REPS, CellSpec, builtin_suite, run_suite
+from .instances import GaussianInstance, ProblemShape, sample_gaussian_matrix
 from .tau import DEFAULT_OPTIONS, Verdict, estimate_failure
 
 EXIT_OK = 0
@@ -177,11 +177,9 @@ def _report_outcome(outcome, n: int, m: int, k: int,
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
-    if not (args.m < args.n and 1 <= args.k < args.m):
-        raise DomainError(
-            f"need m < n and 1 <= k < m, got n={args.n} m={args.m} k={args.k}"
-        )
-    shape = ProblemShape(n=args.n, m=args.m, k=args.k)
+    # CellSpec holds the cell rule (m < n, 1 <= k < m) and raises DomainError.
+    cell = CellSpec(n=args.n, m=args.m, k=args.k, reps=1)
+    shape = ProblemShape(n=cell.n, m=cell.m, k=cell.k)
     instance = sample_gaussian_matrix(shape, args.seed)
     outcome = estimate_failure(instance, args.k)
     _report_outcome(outcome, args.n, args.m, args.k, args.emit_certificate)
@@ -219,8 +217,6 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.reps < 1:
-        raise DomainError(f"reps must be >= 1, got {args.reps}")
     cells = _load_suite(args)
     workers = args.workers if args.workers else _default_workers()
     results = run_suite(cells, DEFAULT_OPTIONS, workers=workers)
@@ -275,8 +271,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if not (1 <= args.k < n):
         raise DomainError(f"need 1 <= k < n={n}, got k={args.k}")
     shape = ProblemShape(n=n, m=m, k=args.k)
-    from .instances import GaussianInstance
-
     instance = GaussianInstance(shape=shape, seed=0, A=A)
     # estimate_failure re-checks a certificate's construction itself and
     # raises CertificateError when it fails.

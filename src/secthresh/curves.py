@@ -73,18 +73,6 @@ class SectionalLowerSolve:
     beta: float
     theta_hat: float
     alpha_bound: float
-    epsilon: float = 0.0
-
-
-@dataclass(frozen=True)
-class AdjustedDims:
-    """Surrogate problem-size ratios used by the sectional upper bound."""
-
-    xi_l: float
-    kg_ratio: float
-    mg_ratio: float
-    ng_ratio: float
-    xi_sk: float
 
 
 @dataclass
@@ -124,28 +112,6 @@ def sec_upper_residual(alpha: float, beta: float, xi_sk: float = XI_SK_DEFAULT) 
     q = erfinv((1.0 - alpha) / (1.0 - beta))
     denom = mg_ratio_closed_form(alpha, beta, xi_sk)
     return (1.0 - beta) * SQRT_2_PI * math.exp(-q * q) / denom - SQRT_2 * q
-
-
-def adjusted_dims(alpha: float, beta: float, xi_sk: float = XI_SK_DEFAULT) -> AdjustedDims:
-    """Map (alpha, beta) to the surrogate dimension ratios.
-
-    ``xi_l = beta * (sqrt((1-alpha)/beta) + xi_sk)`` is the scaled mixed-term
-    bound; the surrogate sparsity ratio is ``kg = xi_l^2 / (1-alpha)`` and the
-    measurement/ambient ratios shift by the same amount:
-    ``mg = alpha - beta + kg``, ``ng = 1 - beta + kg``.
-    """
-    _check_open_region(alpha, beta)
-    if xi_sk < 0.0:
-        raise DomainError(f"xi_sk must be >= 0, got {xi_sk!r}")
-    xi_l = beta * (math.sqrt((1.0 - alpha) / beta) + xi_sk)
-    kg = xi_l * xi_l / (1.0 - alpha)
-    return AdjustedDims(
-        xi_l=xi_l,
-        kg_ratio=kg,
-        mg_ratio=alpha - beta + kg,
-        ng_ratio=1.0 - beta + kg,
-        xi_sk=xi_sk,
-    )
 
 
 def _sec_lower_theta_residual(theta: float, beta: float) -> float:

@@ -10,26 +10,11 @@ relative error well below 1e-12 everywhere the curve solvers can reach
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class Probability:
-    """A value constrained to [0, 1]."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise DomainError(f"probability {self.value!r} outside [0, 1]")
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def erf(x: float) -> float:
@@ -44,11 +29,6 @@ def erfc(x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"erfc requires finite input, got {x!r}")
     return math.erfc(x)
-
-
-def gauss_density(x: float) -> float:
-    """Standard normal density exp(-x^2/2) / sqrt(2 pi)."""
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 # Rational approximation of the standard normal quantile (Acklam's

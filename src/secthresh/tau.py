@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -43,7 +43,7 @@ from .instances import GaussianInstance, NullProjector, null_projector
 __all__ = [
     "SolveOptions", "DualSolve", "Certificate", "ConstructionReport",
     "Verdict", "TauOutcome", "as_sign_pattern", "dual_distance",
-    "primal_tau_reference", "extract_certificate",
+    "extract_certificate",
     "verify_theorem2_construction", "bit_flip_search", "estimate_failure",
 ]
 
@@ -58,9 +58,6 @@ class SolveOptions:
     positivity_coeff: float = 1e-6   # threshold = coeff * sqrt(n)
     max_passes: int = 64
     check_every: int = 10
-    primal_iterations: int = 50_000
-    primal_step: float = 0.1
-    primal_size_cap: int = 60
 
     def positivity_threshold(self, n: int) -> float:
         return self.positivity_coeff * np.sqrt(n)
@@ -209,42 +206,6 @@ def dual_distance(P: NullProjector, k: int, b, opts: SolveOptions = DEFAULT_OPTI
                      iterations=iterations, converged=converged)
 
 
-def primal_tau_reference(P: NullProjector, k: int, b,
-                         opts: SolveOptions = DEFAULT_OPTIONS) -> float:
-    """Direct minimization of head-l1 minus signed tail sum over the null ball.
-
-    Cross-check oracle for small instances only: a projected subgradient
-    descent over u (w = Dperp^T u, ||u|| <= 1) with diminishing steps.  The
-    value is always <= 0 (u = 0 is feasible) and should match -distance(b)
-    to about 1e-3 absolute.
-    """
-    n = P.shape.n
-    if n > opts.primal_size_cap:
-        raise UsageError(
-            f"primal reference capped at n <= {opts.primal_size_cap}, got n={n}"
-        )
-    if not (0 <= k < n):
-        raise DomainError(f"need 0 <= k < n={n}, got k={k}")
-    b = as_sign_pattern(b, k)
-    Dperp = P.Dperp
-    nk = n - k
-    u = np.zeros(Dperp.shape[0])
-    best = 0.0
-    sub = np.empty(n)
-    for t in range(1, opts.primal_iterations + 1):
-        w = Dperp.T @ u
-        value = float(np.sum(np.abs(w[:nk])) - np.dot(b, w[nk:]))
-        if value < best:
-            best = value
-        sub[:nk] = np.sign(w[:nk])
-        sub[nk:] = -b
-        u -= (opts.primal_step / np.sqrt(t)) * (Dperp @ sub)
-        norm = np.linalg.norm(u)
-        if norm > 1.0:
-            u /= norm
-    return best
-
-
 def extract_certificate(P: NullProjector, k: int, solve: DualSolve,
                         opts: SolveOptions = DEFAULT_OPTIONS) -> Certificate:
     """Turn a converged positive-distance solve into a verified certificate.
@@ -253,6 +214,8 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve,
     identity forces tail_l1(w) - head_l1(w) >= distance^2 up to solver slack.
     The gap and the null-space residual are re-measured arithmetically here,
     and a candidate failing either check raises instead of being returned.
+    The residual check fails closed: an ||A||_F that overflows to inf or
+    underflows to 0, or a non-finite ||A w||, proves nothing and raises.
     """
     n = P.shape.n
     threshold = opts.positivity_threshold(n)
@@ -267,15 +230,17 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve,
     tail_l1 = float(np.sum(np.abs(w[n - k:])))
     gap = tail_l1 - head_l1
     norm_a = float(np.linalg.norm(P.A))
-    residual = float(np.linalg.norm(P.A @ w)) / norm_a if norm_a else 0.0
+    norm_aw = float(np.linalg.norm(P.A @ w))
+    residual = norm_aw / norm_a if norm_a else 0.0
     if gap <= 0.0:
         raise CertificateError(
             f"candidate gap {gap:.3e} is not positive (distance {solve.distance:.3e})",
             gap=gap,
         )
-    if residual > 1e-8:
+    if not (0.0 < norm_a < math.inf and math.isfinite(norm_aw) and residual <= 1e-8):
         raise CertificateError(
-            f"null-space residual {residual:.3e} exceeds 1e-8", gap=gap
+            f"null-space residual {residual:.3e} exceeds 1e-8 or rests on a zero or "
+            f"non-finite norm (||A w|| {norm_aw:.3e}, ||A|| {norm_a:.3e})", gap=gap
         )
     return Certificate(w=w, head_l1=head_l1, tail_l1=tail_l1, gap=gap,
                        nullspace_residual=residual)
@@ -288,7 +253,9 @@ def verify_theorem2_construction(A: np.ndarray, k: int,
     Builds x supported on the tail with x_j = -w_j there; then x + w agrees
     with w on the head and vanishes on the tail, so the construction fails l1
     recovery iff ||x + w||_1 < ||x||_1 and both vectors measure identically.
-    The report carries all the measured numbers; nothing raises.
+    The report carries all the measured numbers; nothing raises.  The check
+    fails closed: a zero or non-finite tolerance (an ||A||_F that underflowed
+    or overflowed) or a non-finite measurement residual does not pass.
     """
     A = np.asarray(A, dtype=float)
     w = cert.w
@@ -300,8 +267,9 @@ def verify_theorem2_construction(A: np.ndarray, k: int,
     norm_a = float(np.linalg.norm(A))
     norm_w = float(np.linalg.norm(w))
     meas = float(np.linalg.norm(A @ (x + w) - A @ x))
+    bound = 1e-8 * norm_a * max(norm_w, 1e-300)
     passed = (l1_competitor < l1_original
-              and meas <= 1e-8 * norm_a * max(norm_w, 1e-300))
+              and 0.0 < bound < math.inf and meas <= bound)
     return ConstructionReport(
         passed=passed,
         l1_original=l1_original,

@@ -2,16 +2,25 @@
 
 Everything here is deliberately built on *different* machinery than the
 package under test: mpmath for special functions, scipy.optimize.brentq for
-curve roots, scipy.optimize.lsq_linear (BVLS active set) for the box
-least-squares inner problem, and exhaustive sign-pattern enumeration for
-verdicts.  Run as a script to print the constants that the unit tests
-hard-code.
+curve roots, the adjusted-dimension ratios as a second route to the
+sectional upper bound's denominator, scipy.optimize.lsq_linear (BVLS active
+set) for the box least-squares inner problem, a primal subgradient descent
+for the dual distance, and exhaustive sign-pattern enumeration for verdicts.
+Run as a script to print the constants that the unit tests hard-code.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from secthresh import DomainError, UsageError
+from secthresh.tau import as_sign_pattern
+
+PRIMAL_ITERATIONS = 50_000
+PRIMAL_STEP = 0.1
+PRIMAL_SIZE_CAP = 60
 
 
 def oracle_erf(x):
@@ -59,6 +68,38 @@ def oracle_sec_upper_beta(alpha, xi_sk):
                   1e-9, alpha - 1e-9, xtol=1e-13)
 
 
+@dataclass(frozen=True)
+class AdjustedDims:
+    """Surrogate problem-size ratios used by the sectional upper bound."""
+
+    xi_l: float
+    kg_ratio: float
+    mg_ratio: float
+    ng_ratio: float
+    xi_sk: float
+
+
+def adjusted_dims(alpha, beta, xi_sk):
+    """Map (alpha, beta) to the surrogate dimension ratios.
+
+    ``xi_l = beta * (sqrt((1-alpha)/beta) + xi_sk)`` is the scaled mixed-term
+    bound; the surrogate sparsity ratio is ``kg = xi_l^2 / (1-alpha)`` and the
+    measurement/ambient ratios shift by the same amount:
+    ``mg = alpha - beta + kg``, ``ng = 1 - beta + kg``.  ``mg`` is the
+    inflated denominator that ``secthresh.curves.mg_ratio_closed_form``
+    computes in closed form.
+    """
+    xi_l = beta * (math.sqrt((1.0 - alpha) / beta) + xi_sk)
+    kg = xi_l * xi_l / (1.0 - alpha)
+    return AdjustedDims(
+        xi_l=xi_l,
+        kg_ratio=kg,
+        mg_ratio=alpha - beta + kg,
+        ng_ratio=1.0 - beta + kg,
+        xi_sk=xi_sk,
+    )
+
+
 def oracle_sec_lower(beta):
     """Return (theta_hat, alpha_bound) for the sectional lower-bound system."""
     from scipy.optimize import brentq
@@ -100,6 +141,53 @@ def oracle_box_distance(Dperp, k, b):
         return float(np.linalg.norm(c))
     res = lsq_linear(M, c, bounds=(-1.0, 1.0), method="bvls", tol=1e-14)
     return float(np.linalg.norm(M @ res.x - c))
+
+
+def primal_tau_batch(cases):
+    """Primal values for a batch of (projector, k, b) cases, as an array.
+
+    Each value is the minimum of head-l1(w) minus b . tail(w) over
+    w = Dperp^T u with ||u|| <= 1, found by projected subgradient descent
+    with steps PRIMAL_STEP / sqrt(t) over PRIMAL_ITERATIONS steps.  The
+    running minimum starts at 0 (u = 0 is feasible), so no value is
+    positive; it should match -distance(b) to about 1e-3 absolute.
+
+    All cases run as one numpy pass over bases zero-padded to the largest
+    (n-m, n).  The padding is inert: padded rows of Dperp leave u at 0, and
+    padded columns give w = 0, a zero subgradient and no tail.  Capped at
+    n <= PRIMAL_SIZE_CAP.
+    """
+    cases = list(cases)
+    rows = max(P.Dperp.shape[0] for P, _, _ in cases)
+    cols = max(P.shape.n for P, _, _ in cases)
+    D = np.zeros((len(cases), rows, cols))
+    head = np.ones((len(cases), cols, 1))
+    signs = np.zeros((len(cases), cols, 1))  # b on the tail, 0 elsewhere
+    for i, (P, k, b) in enumerate(cases):
+        n = P.shape.n
+        if n > PRIMAL_SIZE_CAP:
+            raise UsageError(f"primal reference capped at n <= {PRIMAL_SIZE_CAP}, got n={n}")
+        if not (0 <= k < n):
+            raise DomainError(f"need 0 <= k < n={n}, got k={k}")
+        D[i, :P.Dperp.shape[0], :n] = P.Dperp
+        head[i, n - k:n] = 0.0
+        signs[i, n - k:n, 0] = as_sign_pattern(b, k)
+    DT = D.transpose(0, 2, 1).copy()
+    u = np.zeros((len(cases), rows, 1))
+    best = np.zeros(len(cases))
+    for t in range(1, PRIMAL_ITERATIONS + 1):
+        w = DT @ u
+        sub = np.sign(w) * head - signs
+        # w . sub = head l1 of w minus b . tail of w, the primal value at u.
+        np.minimum(best, np.sum(w * sub, axis=(1, 2)), out=best)
+        u -= (PRIMAL_STEP / math.sqrt(t)) * (D @ sub)
+        u /= np.maximum(np.sqrt(np.sum(u * u, axis=(1, 2), keepdims=True)), 1.0)
+    return best
+
+
+def primal_tau_reference(P, k, b):
+    """The primal value of one case: a batch of one."""
+    return float(primal_tau_batch([(P, k, b)])[0])
 
 
 def oracle_enumerate(Dperp, k):

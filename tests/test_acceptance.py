@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from secthresh import (DEFAULT_OPTIONS, CellSpec, CurveKind, Verdict,
-                       adjusted_dims, dual_distance, emit_curves,
+                       dual_distance, emit_curves,
                        erf, erfinv, estimate_failure, extract_certificate,
                        null_projector, null_projector_from_matrix,
-                       primal_tau_reference, bit_flip_search, run_cell,
+                       bit_flip_search, run_cell,
                        sample_gaussian_matrix, sec_upper_beta,
                        verify_theorem2_construction, weak_beta, ProblemShape)
 from secthresh.cli import main as cli_main
 from secthresh.curves import mg_ratio_closed_form
 
-from oracles import oracle_enumerate
+from oracles import adjusted_dims, oracle_enumerate, primal_tau_batch
 
 ALPHA_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
@@ -85,8 +85,7 @@ def test_03_hand_instances():
 def test_04_primal_dual_coherence():
     t0 = time.monotonic()
     rng = np.random.default_rng(20260814)
-    worst = 0.0
-    contradictions = 0
+    cases, duals = [], []
     for _ in range(200):
         n = int(rng.integers(6, 41))
         m = int(rng.integers(2, n))
@@ -95,8 +94,11 @@ def test_04_primal_dual_coherence():
                                       int(rng.integers(0, 2**32)))
         P = null_projector(inst)
         b = rng.choice([-1.0, 1.0], size=k)
-        d = dual_distance(P, k, b).distance
-        p = primal_tau_reference(P, k, b)
+        duals.append(dual_distance(P, k, b).distance)
+        cases.append((P, k, b))
+    worst = 0.0
+    contradictions = 0
+    for p, d in zip(primal_tau_batch(cases), duals):
         worst = max(worst, abs(p + d))
         if (d > 1e-4) != (p < -1e-4):
             contradictions += 1

@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from secthresh import DomainError, Probability, erf, erfc, erfinv, gauss_density
+from secthresh import DomainError, erf, erfc, erfinv
 
 # Reference values frozen from tests/oracles.py (mpmath at 30 digits).
 ERF_1 = 0.8427007929497149
@@ -73,16 +71,3 @@ class TestErfinv:
         for bad in (-1.0, 1.0, 1.5, float("nan")):
             with pytest.raises(DomainError):
                 erfinv(bad)
-
-
-def test_gauss_density_peak():
-    assert abs(gauss_density(0.0) - 1.0 / math.sqrt(2.0 * math.pi)) <= 1e-16
-    assert gauss_density(2.0) == gauss_density(-2.0)
-
-
-def test_probability_validation():
-    assert Probability(0.25).value == 0.25
-    with pytest.raises(DomainError):
-        Probability(1.2)
-    with pytest.raises(DomainError):
-        Probability(-0.1)

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from secthresh import (DEFAULT_OPTIONS, CertificateError, DomainError,
-                       ProblemShape, SolveOptions, TauOutcome, UsageError,
+                       GaussianInstance, ProblemShape, SolveOptions,
+                       TauOutcome, UsageError,
                        Verdict, bit_flip_search, dual_distance,
                        estimate_failure, extract_certificate,
                        null_projector, null_projector_from_matrix,
-                       primal_tau_reference, sample_gaussian_matrix,
-                       verify_theorem2_construction)
+                       sample_gaussian_matrix, verify_theorem2_construction)
 
-from oracles import oracle_box_distance
+from oracles import oracle_box_distance, primal_tau_reference
 
 
 def _hand_projector():
@@ -150,6 +150,30 @@ class TestCertificates:
         # Hand values: x = (0, 2/sqrt(5)) scaled by the certificate's norm.
         assert abs(report.l1_original - cert.tail_l1) <= 1e-12
         assert abs(report.l1_competitor - cert.head_l1) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e-300])
+class TestChecksFailClosed:
+    """At these scales ||A||_F overflows to inf or underflows to 0, so the
+    residual checks compare non-finite or vacuous numbers and must fail."""
+
+    def test_extraction_refuses(self, scale):
+        P = null_projector_from_matrix(np.array([[2.0, 1.0]]) * scale, k=1)
+        solve = dual_distance(P, 1, [1.0])
+        with pytest.raises(CertificateError):
+            extract_certificate(P, 1, solve)
+
+    def test_construction_check_refuses(self, scale):
+        P = _hand_projector()
+        cert = extract_certificate(P, 1, dual_distance(P, 1, [1.0]))
+        A = np.array([[2.0, 1.0]]) * scale
+        assert not verify_theorem2_construction(A, 1, cert).passed
+
+    def test_scaled_gaussian_matrix_not_certified(self, scale):
+        A = np.random.default_rng(0).standard_normal((5, 12)) * scale
+        inst = GaussianInstance(shape=ProblemShape(n=12, m=5, k=2), seed=0, A=A)
+        for k in (2, 4, 6):
+            assert estimate_failure(inst, k).verdict is Verdict.NotCertified
 
 
 class TestBitFlipSearch:
