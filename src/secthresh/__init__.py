@@ -19,15 +19,14 @@ from .curves import (XI_SK_DEFAULT, CurveKind, CurveSet, SectionalLowerSolve,
 from .errors import (CertificateError, ConsistencyError, DomainError,
                      NumericalError, SecthreshError, UsageError)
 from .harness import (CellResult, CellSpec, RepRecord, builtin_suite,
-                      builtin_tables, paper_rate, run_cell, run_suite)
+                      builtin_tables, paper_rate, run_suite)
 from .instances import (GaussianInstance, NullProjector, ProblemShape,
                         derive_rep_seed, null_projector,
                         null_projector_from_matrix, sample_gaussian_matrix)
 from .special import erf, erfc, erfinv
-from .tau import (DEFAULT_OPTIONS, Certificate, ConstructionReport, DualSolve,
-                  SolveOptions, TauOutcome, Verdict, bit_flip_search,
-                  dual_distance, estimate_failure, extract_certificate,
-                  verify_theorem2_construction)
+from .tau import (Certificate, ConstructionReport, DualSolve, TauOutcome,
+                  Verdict, bit_flip_search, dual_distance, estimate_failure,
+                  extract_certificate, verify_theorem2_construction)
 
 __version__ = "0.1.0"
 
@@ -38,12 +37,12 @@ __all__ = [
     "CertificateError", "ConsistencyError", "DomainError", "NumericalError",
     "SecthreshError", "UsageError",
     "CellResult", "CellSpec", "RepRecord", "builtin_suite", "builtin_tables",
-    "paper_rate", "run_cell", "run_suite",
+    "paper_rate", "run_suite",
     "GaussianInstance", "NullProjector", "ProblemShape", "derive_rep_seed",
     "null_projector", "null_projector_from_matrix", "sample_gaussian_matrix",
     "erf", "erfc", "erfinv",
-    "DEFAULT_OPTIONS", "Certificate", "ConstructionReport", "DualSolve",
-    "SolveOptions", "TauOutcome", "Verdict", "bit_flip_search",
+    "Certificate", "ConstructionReport", "DualSolve",
+    "TauOutcome", "Verdict", "bit_flip_search",
     "dual_distance", "estimate_failure", "extract_certificate",
     "verify_theorem2_construction",
     "__version__",

@@ -32,7 +32,7 @@ from .errors import (CertificateError, ConsistencyError, DomainError,
                      NumericalError, SecthreshError, UsageError)
 from .harness import MAX_REPS, CellSpec, builtin_suite, run_suite
 from .instances import GaussianInstance, ProblemShape, sample_gaussian_matrix
-from .tau import DEFAULT_OPTIONS, Verdict, estimate_failure
+from .tau import Verdict, estimate_failure
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -219,7 +219,7 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cells = _load_suite(args)
     workers = args.workers if args.workers else _default_workers()
-    results = run_suite(cells, DEFAULT_OPTIONS, workers=workers)
+    results = run_suite(cells, workers=workers)
     lines = ["n,m,k,reps,failures,rate,paper_rate,mean_flips,errors,mean_seconds"]
     for res in results:
         s = res.spec
@@ -270,6 +270,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise DomainError(f"matrix must be wide (m < n), got {m}x{n}")
     if not (1 <= args.k < n):
         raise DomainError(f"need 1 <= k < n={n}, got k={args.k}")
+    # Far from unit scale ||A||_F overflows or underflows and no certificate
+    # re-checks; a power-of-two rescale is exact and keeps the null space.
+    peak = float(np.max(np.abs(A)))
+    if peak and not (2.0**-500 <= peak <= 2.0**500):
+        e = math.frexp(peak)[1]
+        A = np.ldexp(A, -e)
+        print(f"note: matrix rescaled by 2^{-e} (max |entry| was {peak:.6g})")
     shape = ProblemShape(n=n, m=m, k=args.k)
     instance = GaussianInstance(shape=shape, seed=0, A=A)
     # estimate_failure re-checks a certificate's construction itself and

@@ -131,13 +131,13 @@ def _sec_lower_alpha_bound(theta: float, beta: float) -> float:
     return first + beta - second
 
 
-def _scan_bracket(f: Callable[[float], float], lo: float, hi: float,
-                  points: int = _SCAN_POINTS) -> tuple[float, float, float, float]:
+def _scan_bracket(f: Callable[[float], float], lo: float,
+                  hi: float) -> tuple[float, float, float, float]:
     """Locate exactly one sign change of f on [lo, hi] by a linear scan."""
-    xs = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    xs = [lo + (hi - lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
     vals = [f(x) for x in xs]
     brackets = []
-    for i in range(points - 1):
+    for i in range(_SCAN_POINTS - 1):
         if vals[i] == 0.0:
             brackets.append((xs[i], xs[i], vals[i], vals[i]))
         elif vals[i] * vals[i + 1] < 0.0:
@@ -146,7 +146,7 @@ def _scan_bracket(f: Callable[[float], float], lo: float, hi: float,
         brackets.append((xs[-1], xs[-1], vals[-1], vals[-1]))
     if not brackets:
         raise NumericalError(
-            f"no sign change on [{lo:.6g}, {hi:.6g}] over {points} scan points"
+            f"no sign change on [{lo:.6g}, {hi:.6g}] over {_SCAN_POINTS} scan points"
         )
     if len(brackets) > 1:
         raise NumericalError(
@@ -203,7 +203,7 @@ def sec_upper_beta(alpha: float, xi_sk: float = XI_SK_DEFAULT, tol: float = 1e-1
     return _beta_root(lambda b: sec_upper_residual(alpha, b, xi_sk), alpha, tol)
 
 
-def sec_lower_solve(beta: float, tol: float = 1e-10) -> SectionalLowerSolve:
+def sec_lower_solve(beta: float) -> SectionalLowerSolve:
     """Solve the sectional lower-bound system at one beta.
 
     Solves the auxiliary equation for ``theta_hat`` on
@@ -215,11 +215,9 @@ def sec_lower_solve(beta: float, tol: float = 1e-10) -> SectionalLowerSolve:
         # At beta >= 1/2 the theta equation's numerator is negative for every
         # theta in (beta, 1), so the system has no solution at all.
         raise DomainError(f"beta must lie in (0, 0.5), got {beta!r}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     f = lambda t: _sec_lower_theta_residual(t, beta)
     a, b, fa, fb = _scan_bracket(f, beta + 1e-9, 1.0 - 1e-9)
-    theta = _bisect(f, a, b, fa, fb, width_tol=tol, resid_tol=1e-10)
+    theta = _bisect(f, a, b, fa, fb, width_tol=1e-10, resid_tol=1e-10)
     if not (beta <= theta <= 1.0):
         raise ConsistencyError(f"theta_hat={theta!r} escaped [beta, 1]")
     alpha_bound = _sec_lower_alpha_bound(theta, beta)

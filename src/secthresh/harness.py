@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, SecthreshError
 from .instances import ProblemShape, derive_rep_seed, sample_gaussian_matrix
-from .tau import DEFAULT_OPTIONS, SolveOptions, Verdict, estimate_failure
+from .tau import Verdict, estimate_failure
 
 # A suite's (cell, rep) tasks are listed before any rep runs, so the rep count
 # is capped to keep that list small.
@@ -146,11 +146,11 @@ def builtin_suite(name: str, reps: int = 25, base_seed: int = 0) -> list[CellSpe
     return cells
 
 
-def _run_rep(args: tuple[int, int, int, int, SolveOptions]) -> RepRecord:
-    n, m, k, seed, opts = args
+def _run_rep(args: tuple[int, int, int, int]) -> RepRecord:
+    n, m, k, seed = args
     instance = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed)
     try:
-        outcome = estimate_failure(instance, k, opts)
+        outcome = estimate_failure(instance, k)
     except SecthreshError as exc:
         return RepRecord(seed=seed, verdict=Verdict.NotCertified, flips=0,
                          seconds=0.0, diagnostic=f"{type(exc).__name__}: {exc}",
@@ -159,17 +159,12 @@ def _run_rep(args: tuple[int, int, int, int, SolveOptions]) -> RepRecord:
                      seconds=outcome.seconds, diagnostic=outcome.diagnostic)
 
 
-def run_cell(spec: CellSpec, opts: SolveOptions = DEFAULT_OPTIONS,
-             workers: int = 1) -> CellResult:
-    """Run one cell; per-rep failures never abort the cell."""
-    return run_suite([spec], opts, workers)[0]
-
-
-def run_suite(cells: Sequence[CellSpec], opts: SolveOptions = DEFAULT_OPTIONS,
-              workers: int = 1) -> list[CellResult]:
+def run_suite(cells: Sequence[CellSpec], workers: int = 1) -> list[CellResult]:
     """Run cells in order, every rep of the suite on one pool of at most
-    ``workers`` processes; the results do not depend on the worker count."""
-    tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r), opts)
+    ``workers`` processes; the results do not depend on the worker count.
+    A rep that raises a library error is recorded as errored and never
+    aborts its cell."""
+    tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r))
              for spec in cells for r in range(spec.reps)]
     workers = min(workers, len(tasks))
     if workers > 1:

@@ -41,29 +41,24 @@ from .errors import CertificateError, DomainError, UsageError
 from .instances import GaussianInstance, NullProjector, null_projector
 
 __all__ = [
-    "SolveOptions", "DualSolve", "Certificate", "ConstructionReport",
-    "Verdict", "TauOutcome", "as_sign_pattern", "dual_distance",
-    "extract_certificate",
+    "DualSolve", "Certificate", "ConstructionReport",
+    "Verdict", "TauOutcome", "as_sign_pattern", "positivity_threshold",
+    "dual_distance", "extract_certificate",
     "verify_theorem2_construction", "bit_flip_search", "estimate_failure",
 ]
 
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Knobs shared by the inner solver and the outer search."""
-
-    fixed_point_tol: float = 1e-9
-    max_iterations: int = 50_000
-    accept_tol: float = 1e-9
-    positivity_coeff: float = 1e-6   # threshold = coeff * sqrt(n)
-    max_passes: int = 64
-    check_every: int = 10
-
-    def positivity_threshold(self, n: int) -> float:
-        return self.positivity_coeff * np.sqrt(n)
+# Solver settings.  They are read from the module when a function runs, so a
+# test can monkeypatch one.
+FIXED_POINT_TOL = 1e-9   # inner solve: largest unaccelerated step at a fixed point
+MAX_ITERATIONS = 50_000  # inner solve: iteration cap
+CHECK_EVERY = 10         # inner solve: iterations between fixed-point tests
+ACCEPT_TOL = 1e-9        # search: quantized-distance gain a kept flip needs
+MAX_PASSES = 64          # search: cap of MAX_PASSES * k tentative flips
 
 
-DEFAULT_OPTIONS = SolveOptions()
+def positivity_threshold(n: int) -> float:
+    """Distance a solve must exceed to count as positive in dimension n."""
+    return 1e-6 * np.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -130,23 +125,22 @@ def as_sign_pattern(b, k: int) -> np.ndarray:
     return arr
 
 
-def _box_lsq(M: np.ndarray, c: np.ndarray, x0: np.ndarray,
-             tol: float, max_iter: int, check_every: int) -> tuple[np.ndarray, int, bool]:
+def _box_lsq(M: np.ndarray, c: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """min ||M x - c||^2 over the unit box, by accelerated projected gradient.
 
     The gradient step is the plain step-1/2 projected-gradient update (the
     operator norm of M is at most 1 because its rows sit in an orthonormal
     basis); Nesterov momentum with gradient-based restart accelerates the
     linear tail.  Convergence is declared when the *unaccelerated* projected
-    step from the current iterate moves no coordinate by more than tol, so
-    the returned point satisfies the same fixed-point criterion the plain
-    method would.
+    step from the current iterate moves no coordinate by more than
+    FIXED_POINT_TOL, so the returned point satisfies the same fixed-point
+    criterion the plain method would.
     """
     x = x0.copy()
     y = x.copy()
     t_mom = 1.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         g = M.T @ (M @ y - c)
         # minimum(maximum(.)) gives np.clip's bits for finite input and costs
         # less than np.clip on vectors of this size.
@@ -158,15 +152,15 @@ def _box_lsq(M: np.ndarray, c: np.ndarray, x0: np.ndarray,
             y = xn + ((t_mom - 1.0) / t_next) * (xn - x)
             t_mom = t_next
         x = xn
-        if it % check_every == 0 or it == max_iter:
+        if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:
             gx = M.T @ (M @ x - c)
             step = np.minimum(np.maximum(x - gx, -1.0), 1.0) - x
-            if np.max(np.abs(step), initial=0.0) <= tol:
+            if np.max(np.abs(step), initial=0.0) <= FIXED_POINT_TOL:
                 return x, it, True
     return x, it, False
 
 
-def dual_distance(P: NullProjector, k: int, b, opts: SolveOptions = DEFAULT_OPTIONS,
+def dual_distance(P: NullProjector, k: int, b,
                   x0: Optional[np.ndarray] = None) -> DualSolve:
     """Distance from the box slice for pattern b to the row space of A.
 
@@ -178,8 +172,6 @@ def dual_distance(P: NullProjector, k: int, b, opts: SolveOptions = DEFAULT_OPTI
         Tail block length, 0 <= k < n.
     b : array-like
         Sign pattern of length k (entries +-1).
-    opts : SolveOptions
-        Solver tolerances.
     x0 : ndarray, optional
         Warm start for the head block (defaults to zeros).
 
@@ -197,17 +189,14 @@ def dual_distance(P: NullProjector, k: int, b, opts: SolveOptions = DEFAULT_OPTI
     M = Dperp[:, :n - k]
     c = Dperp[:, n - k:] @ b if k else np.zeros(Dperp.shape[0])
     start = np.zeros(n - k) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
-    x, iterations, converged = _box_lsq(
-        M, c, start, opts.fixed_point_tol, opts.max_iterations, opts.check_every
-    )
+    x, iterations, converged = _box_lsq(M, c, start)
     z = np.concatenate([x, -b])
     distance = float(np.linalg.norm(Dperp @ z))
     return DualSolve(b=b, z_star=z, distance=distance,
                      iterations=iterations, converged=converged)
 
 
-def extract_certificate(P: NullProjector, k: int, solve: DualSolve,
-                        opts: SolveOptions = DEFAULT_OPTIONS) -> Certificate:
+def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certificate:
     """Turn a converged positive-distance solve into a verified certificate.
 
     The candidate is w = -Q z*; at the optimum the supporting-hyperplane
@@ -218,7 +207,7 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve,
     underflows to 0, or a non-finite ||A w||, proves nothing and raises.
     """
     n = P.shape.n
-    threshold = opts.positivity_threshold(n)
+    threshold = positivity_threshold(n)
     if not solve.converged:
         raise UsageError("certificate extraction requires a converged solve")
     if solve.distance <= threshold:
@@ -307,8 +296,7 @@ def _tail_margin_gram(P: NullProjector, k: int) -> Optional[np.ndarray]:
     return t_map.T @ t_map
 
 
-def bit_flip_search(P: NullProjector, k: int,
-                    opts: SolveOptions = DEFAULT_OPTIONS) -> TauOutcome:
+def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
     """Cyclic single-bit local search for a certifiably failing sign pattern.
 
     Starts from the all-ones pattern and walks the lexicographic objective
@@ -318,7 +306,7 @@ def bit_flip_search(P: NullProjector, k: int,
     converged evaluation above the threshold attempts certificate extraction;
     the first verified certificate ends the search.  The search gives up
     after a full cycle of k consecutive non-improving flips, or after
-    max_passes * k tentative evaluations.
+    MAX_PASSES * k tentative evaluations.
     """
     if k < 1:
         raise UsageError(f"bit-flip search needs k >= 1, got k={k}")
@@ -326,7 +314,7 @@ def bit_flip_search(P: NullProjector, k: int,
     if k >= n:
         raise DomainError(f"need k < n={n}, got k={k}")
     started = time.perf_counter()
-    threshold = opts.positivity_threshold(n)
+    threshold = positivity_threshold(n)
     unconverged = 0
 
     def finish(verdict, b, distance, cert, flips):
@@ -341,7 +329,7 @@ def bit_flip_search(P: NullProjector, k: int,
         if not (solve.converged and solve.distance > threshold):
             return None
         try:
-            return extract_certificate(P, k, solve, opts)
+            return extract_certificate(P, k, solve)
         except CertificateError:
             return None
 
@@ -354,7 +342,7 @@ def bit_flip_search(P: NullProjector, k: int,
         gram_b = np.zeros(k)
         margin = 0.0
 
-    solve = dual_distance(P, k, b, opts)
+    solve = dual_distance(P, k, b)
     if not solve.converged:
         unconverged += 1
     cert = try_certify(solve)
@@ -366,13 +354,13 @@ def bit_flip_search(P: NullProjector, k: int,
     quantized = incumbent if incumbent > threshold else 0.0
     flips = 0
     rejects = 0
-    cap = opts.max_passes * k
+    cap = MAX_PASSES * k
     while rejects < k and flips < cap:
         i = flips % k
         flips += 1
         margin_delta = float(-4.0 * b[i] * gram_b[i] + 4.0 * gram[i, i]) if gram is not None else 0.0
         b[i] = -b[i]
-        cand = dual_distance(P, k, b, opts, x0=head)
+        cand = dual_distance(P, k, b, x0=head)
         if not cand.converged:
             unconverged += 1
         cand_q = cand.distance if cand.distance > threshold else 0.0
@@ -380,7 +368,7 @@ def bit_flip_search(P: NullProjector, k: int,
         if cert is not None:
             return finish(Verdict.CertifiedFailure, b, cand.distance, cert, flips)
         margin_cand = margin + margin_delta
-        improves = (cand_q > quantized + opts.accept_tol
+        improves = (cand_q > quantized + ACCEPT_TOL
                     or (cand_q == quantized
                         and margin_cand > margin + 1e-12 * max(1.0, abs(margin))))
         if improves:
@@ -397,8 +385,7 @@ def bit_flip_search(P: NullProjector, k: int,
     return finish(Verdict.NotCertified, b, incumbent, None, flips)
 
 
-def estimate_failure(instance: GaussianInstance, k: int,
-                     opts: SolveOptions = DEFAULT_OPTIONS) -> TauOutcome:
+def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
     """Full pipeline for one instance: factor, search, verify, time.
 
     k = 0 short-circuits to NotCertified (no sign pattern exists, and the
@@ -414,7 +401,7 @@ def estimate_failure(instance: GaussianInstance, k: int,
     if instance.shape.k != k:
         instance = replace(instance, shape=replace(instance.shape, k=k))
     P = null_projector(instance)
-    outcome = bit_flip_search(P, k, opts)
+    outcome = bit_flip_search(P, k)
     if outcome.verdict is Verdict.CertifiedFailure:
         report = verify_theorem2_construction(instance.A, k, outcome.certificate)
         if not report.passed:

@@ -12,15 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from secthresh import (DEFAULT_OPTIONS, CellSpec, CurveKind, Verdict,
+from secthresh import (CellSpec, CurveKind, Verdict,
                        dual_distance, emit_curves,
                        erf, erfinv, estimate_failure, extract_certificate,
                        null_projector, null_projector_from_matrix,
-                       bit_flip_search, run_cell,
+                       bit_flip_search, run_suite,
                        sample_gaussian_matrix, sec_upper_beta,
                        verify_theorem2_construction, weak_beta, ProblemShape)
 from secthresh.cli import main as cli_main
 from secthresh.curves import mg_ratio_closed_form
+from secthresh.tau import positivity_threshold
 
 from oracles import adjusted_dims, oracle_enumerate, primal_tau_batch
 
@@ -37,8 +38,7 @@ def transition_column():
     t0 = time.monotonic()
     rates = {}
     for k in (15, 14, 13, 12, 11, 10):
-        res = run_cell(CellSpec(n=400, m=80, k=k, reps=25, base_seed=0),
-                       DEFAULT_OPTIONS)
+        res = run_suite([CellSpec(n=400, m=80, k=k, reps=25, base_seed=0)])[0]
         rates[k] = res.failures
     return rates, time.monotonic() - t0
 
@@ -122,7 +122,7 @@ def test_05_exhaustive_oracle_agreement():
         inst = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
                                       int(rng.integers(0, 2**32)))
         P = null_projector(inst)
-        threshold = DEFAULT_OPTIONS.positivity_threshold(n)
+        threshold = positivity_threshold(n)
         searched = bit_flip_search(P, k).verdict is Verdict.CertifiedFailure
         enumerated = oracle_enumerate(P.Dperp, k)[0] > threshold
         if searched == enumerated:
@@ -144,8 +144,7 @@ def test_06_low_alpha_table_spots(transition_column):
               ((400, 200, 50), "ge", 0.80), ((400, 200, 40), "le", 0.25)]
     observed = {}
     for (n, m, k), op, bound in checks:
-        res = run_cell(CellSpec(n=n, m=m, k=k, reps=25, base_seed=0),
-                       DEFAULT_OPTIONS)
+        res = run_suite([CellSpec(n=n, m=m, k=k, reps=25, base_seed=0)])[0]
         observed[(n, m, k)] = res.rate
         if op == "ge":
             assert res.rate >= bound, f"({n},{m},{k}) rate {res.rate} < {bound}"
@@ -168,8 +167,7 @@ def test_07_high_alpha_table_spots():
               ((200, 180, 74), "ge", 0.80), ((200, 180, 61), "le", 0.25)]
     observed = {}
     for (n, m, k), op, bound in checks:
-        res = run_cell(CellSpec(n=n, m=m, k=k, reps=25, base_seed=0),
-                       DEFAULT_OPTIONS)
+        res = run_suite([CellSpec(n=n, m=m, k=k, reps=25, base_seed=0)])[0]
         observed[(n, m, k)] = res.rate
         if op == "ge":
             assert res.rate >= bound, f"({n},{m},{k}) rate {res.rate} < {bound}"

@@ -8,9 +8,9 @@ import pytest
 
 import secthresh
 import secthresh.harness as harness
-from secthresh import (DEFAULT_OPTIONS, CellSpec, DomainError, NumericalError,
-                       Verdict, builtin_suite, builtin_tables, derive_rep_seed,
-                       paper_rate, run_cell, run_suite)
+from secthresh import (CellSpec, DomainError, NumericalError, Verdict,
+                       builtin_suite, builtin_tables, derive_rep_seed,
+                       paper_rate, run_suite)
 from secthresh.harness import MAX_REPS
 
 
@@ -66,15 +66,15 @@ class TestCellSpec:
 
 class TestRunCell:
     def test_single_rep(self):
-        res = run_cell(CellSpec(n=30, m=24, k=10, reps=1), DEFAULT_OPTIONS)
+        res = run_suite([CellSpec(n=30, m=24, k=10, reps=1)])[0]
         assert len(res.per_rep) == 1
         assert res.failures in (0, 1)
         assert res.per_rep[0].seed == derive_rep_seed(0, 0)
 
     def test_deterministic_across_workers(self):
         spec = CellSpec(n=40, m=20, k=8, reps=4, base_seed=11)
-        serial = run_cell(spec, DEFAULT_OPTIONS, workers=1)
-        parallel = run_cell(spec, DEFAULT_OPTIONS, workers=2)
+        serial = run_suite([spec], workers=1)[0]
+        parallel = run_suite([spec], workers=2)[0]
         assert serial.failures == parallel.failures
         for a, b in zip(serial.per_rep, parallel.per_rep):
             assert a.seed == b.seed
@@ -82,7 +82,7 @@ class TestRunCell:
             assert a.flips == b.flips
 
     def test_rate_and_means(self):
-        res = run_cell(CellSpec(n=30, m=24, k=12, reps=3), DEFAULT_OPTIONS)
+        res = run_suite([CellSpec(n=30, m=24, k=12, reps=3)])[0]
         assert res.rate == res.failures / 3
         assert res.mean_seconds >= 0.0
         # Deep failure regime: alpha = 0.8, beta = 0.4 is far above every
@@ -90,11 +90,11 @@ class TestRunCell:
         assert all(r.verdict is Verdict.CertifiedFailure for r in res.per_rep)
 
     def test_errored_reps_counted(self, monkeypatch):
-        def broken(instance, k, opts):
+        def broken(instance, k):
             raise NumericalError("forced")
 
         monkeypatch.setattr(harness, "estimate_failure", broken)
-        res = run_cell(CellSpec(n=30, m=24, k=10, reps=3), DEFAULT_OPTIONS)
+        res = run_suite([CellSpec(n=30, m=24, k=10, reps=3)])[0]
         assert res.errors == 3
         assert res.failures == 0
         for rec in res.per_rep:
@@ -104,18 +104,18 @@ class TestRunCell:
 
     def test_means_skip_errored_reps(self, monkeypatch):
         spec = CellSpec(n=30, m=24, k=12, reps=2)
-        clean = run_cell(spec, DEFAULT_OPTIONS).per_rep[1]
+        clean = run_suite([spec])[0].per_rep[1]
         original = harness.estimate_failure
         calls = []
 
-        def first_rep_breaks(instance, k, opts):
+        def first_rep_breaks(instance, k):
             calls.append(instance.seed)
             if len(calls) == 1:
                 raise NumericalError("forced")
-            return original(instance, k, opts)
+            return original(instance, k)
 
         monkeypatch.setattr(harness, "estimate_failure", first_rep_breaks)
-        res = run_cell(spec, DEFAULT_OPTIONS)
+        res = run_suite([spec])[0]
         assert res.errors == 1 and res.per_rep[0].errored
         assert res.per_rep[1].flips == clean.flips > 0
         assert res.mean_flips == clean.flips
@@ -124,19 +124,19 @@ class TestRunCell:
         assert res.rate == res.failures / 2
 
     def test_reference_rate_joined(self):
-        res = run_cell(CellSpec(n=400, m=80, k=10, reps=1), DEFAULT_OPTIONS)
+        res = run_suite([CellSpec(n=400, m=80, k=10, reps=1)])[0]
         assert res.paper_reference_rate == pytest.approx(0.0)
         assert res.per_rep[0].verdict is Verdict.NotCertified
 
 
 def test_run_suite_empty():
-    assert run_suite([], DEFAULT_OPTIONS) == []
+    assert run_suite([]) == []
 
 
 def test_run_suite_order_preserved():
     cells = [CellSpec(n=24, m=18, k=9, reps=1),
              CellSpec(n=30, m=24, k=12, reps=1)]
-    results = run_suite(cells, DEFAULT_OPTIONS)
+    results = run_suite(cells)
     assert [r.spec for r in results] == cells
 
 
@@ -172,9 +172,9 @@ def cell_fields(results):
 
 
 def test_suite_on_one_pool_identical_across_workers(pool_sizes):
-    serial = run_suite(MIXED_SUITE, DEFAULT_OPTIONS, workers=1)
+    serial = run_suite(MIXED_SUITE, workers=1)
     assert pool_sizes == []
-    parallel = run_suite(MIXED_SUITE, DEFAULT_OPTIONS, workers=2)
+    parallel = run_suite(MIXED_SUITE, workers=2)
     assert pool_sizes == [2]  # one pool for all three cells
     assert rep_fields(serial) == rep_fields(parallel)
     assert cell_fields(serial) == cell_fields(parallel)
@@ -184,11 +184,11 @@ def test_suite_on_one_pool_identical_across_workers(pool_sizes):
 
 def test_more_workers_than_tasks(pool_sizes):
     cells = MIXED_SUITE[:1]
-    parallel = run_suite(cells, DEFAULT_OPTIONS, workers=8)
+    parallel = run_suite(cells, workers=8)
     assert pool_sizes == [2]  # one worker for each of the two reps
-    assert rep_fields(parallel) == rep_fields(run_suite(cells, DEFAULT_OPTIONS))
+    assert rep_fields(parallel) == rep_fields(run_suite(cells))
     # A single rep needs no pool at all.
-    run_cell(MIXED_SUITE[2], DEFAULT_OPTIONS, workers=8)
+    run_suite([MIXED_SUITE[2]], workers=8)
     assert pool_sizes == [2]
 
 

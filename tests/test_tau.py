@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from secthresh import (DEFAULT_OPTIONS, CertificateError, DomainError,
-                       GaussianInstance, ProblemShape, SolveOptions,
+import secthresh.tau as tau
+from secthresh import (CertificateError, DomainError,
+                       GaussianInstance, ProblemShape,
                        TauOutcome, UsageError,
                        Verdict, bit_flip_search, dual_distance,
                        estimate_failure, extract_certificate,
                        null_projector, null_projector_from_matrix,
                        sample_gaussian_matrix, verify_theorem2_construction)
 
-from oracles import oracle_box_distance, primal_tau_reference
+from oracles import oracle_box_distance, primal_tau_batch, primal_tau_reference
 
 
 def _hand_projector():
@@ -85,6 +86,7 @@ class TestPrimalReference:
 
     def test_never_positive(self):
         rng = np.random.default_rng(17)
+        cases = []
         for _ in range(10):
             n = int(rng.integers(8, 20))
             m = int(rng.integers(2, n))
@@ -92,8 +94,8 @@ class TestPrimalReference:
             P = null_projector(
                 sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
                                        int(rng.integers(0, 2**32))))
-            b = rng.choice([-1.0, 1.0], size=k)
-            assert primal_tau_reference(P, k, b) <= 0.0
+            cases.append((P, k, rng.choice([-1.0, 1.0], size=k)))
+        assert np.all(primal_tau_batch(cases) <= 0.0)
 
     def test_size_cap(self):
         shape = ProblemShape(n=61, m=10, k=2)
@@ -126,7 +128,7 @@ class TestCertificates:
             solve = dual_distance(P, k, b)
             if not solve.converged:
                 continue
-            if solve.distance <= DEFAULT_OPTIONS.positivity_threshold(n):
+            if solve.distance <= tau.positivity_threshold(n):
                 continue
             cert = extract_certificate(P, k, solve)
             assert cert.gap >= solve.distance**2 - 1e-6
@@ -192,7 +194,7 @@ class TestBitFlipSearch:
         shape = ProblemShape(n=40, m=8, k=5)
         P = null_projector(sample_gaussian_matrix(shape, 13))
         out = bit_flip_search(P, 5)
-        assert out.flips_evaluated <= DEFAULT_OPTIONS.max_passes * 5
+        assert out.flips_evaluated <= tau.MAX_PASSES * 5
 
     def test_k_zero_rejected(self):
         with pytest.raises(UsageError):
@@ -235,18 +237,18 @@ class TestEstimateFailure:
 
 class TestOptionsAndOutcome:
     def test_positivity_threshold_scales(self):
-        assert DEFAULT_OPTIONS.positivity_threshold(100) == pytest.approx(1e-5)
-
-    def test_options_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            DEFAULT_OPTIONS.accept_tol = 0.5
+        assert tau.positivity_threshold(100) == pytest.approx(1e-5)
 
     def test_verdict_certificate_coupling(self):
         with pytest.raises(DomainError):
             TauOutcome(verdict=Verdict.CertifiedFailure, best_b=np.ones(1),
                        best_distance=1.0, certificate=None, flips_evaluated=0)
 
-    def test_custom_options_accepted(self):
-        opts = SolveOptions(max_passes=2)
-        out = bit_flip_search(_balanced_projector(), 1, opts)
-        assert out.verdict is Verdict.NotCertified
+    def test_custom_options_accepted(self, monkeypatch):
+        # The settings are read at call time.  At the default cap this search
+        # evaluates 9 flips, more than 2 * k.
+        k = 4
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=24, m=12, k=k), 8))
+        assert bit_flip_search(P, k).flips_evaluated > 2 * k
+        monkeypatch.setattr(tau, "MAX_PASSES", 2)
+        assert bit_flip_search(P, k).flips_evaluated <= 2 * k
