@@ -30,7 +30,7 @@ import numpy as np
 from .curves import XI_SK_DEFAULT, CurveKind, emit_curves
 from .errors import (CertificateError, ConsistencyError, DomainError,
                      NumericalError, SecthreshError, UsageError)
-from .harness import MAX_REPS, CellSpec, builtin_suite, run_suite
+from .harness import MAX_REPS, MAX_WORKERS, CellSpec, builtin_suite, run_suite
 from .instances import GaussianInstance, ProblemShape, sample_gaussian_matrix
 from .tau import Verdict, estimate_failure
 
@@ -80,10 +80,10 @@ def _default_workers() -> int:
     env = os.environ.get("SECTHRESH_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)  # run_suite checks the range
         except ValueError:
             raise DomainError(f"SECTHRESH_WORKERS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 def _curves_svg(points_by_kind: dict[CurveKind, list[tuple[float, float]]]) -> str:
@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default="results.csv")
     p_sim.add_argument("--workers", type=int, default=0,
-                       help="worker processes (default: SECTHRESH_WORKERS or CPU count)")
+                       help=f"worker processes, 1 to {MAX_WORKERS} "
+                            "(default: SECTHRESH_WORKERS or CPU count)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cert = sub.add_parser("certify", help="certify a matrix supplied as CSV")

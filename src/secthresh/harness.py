@@ -25,6 +25,8 @@ from .tau import Verdict, estimate_failure
 # A suite's (cell, rep) tasks are listed before any rep runs, so the rep count
 # is capped to keep that list small.
 MAX_REPS = 100_000
+# Each worker is a forked process, so the pool size is capped as well.
+MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,9 @@ def run_suite(cells: Sequence[CellSpec], workers: int = 1) -> list[CellResult]:
     """Run cells in order, every rep of the suite on one pool of at most
     ``workers`` processes; the results do not depend on the worker count.
     A rep that raises a library error is recorded as errored and never
-    aborts its cell."""
+    aborts its cell.  ``workers`` must lie in 1..MAX_WORKERS."""
+    if not (1 <= workers <= MAX_WORKERS):
+        raise DomainError(f"need 1 <= workers <= {MAX_WORKERS}, got {workers}")
     tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r))
              for spec in cells for r in range(spec.reps)]
     workers = min(workers, len(tasks))

@@ -25,6 +25,20 @@ at -b.  That margin is the quadratic form b^T G b of a Gram matrix built once
 per instance, so each tentative flip costs O(k) to score.  Patterns with
 larger margin force row-space vectors to carry more head energy, which is
 exactly what drives the slice off the row space and the distance positive.
+
+Most tentative flips are rejects, and most of them can be told apart early.
+While the incumbent sits at or below the threshold, a flip that does not raise
+the margin is kept only if its distance exceeds the threshold.  Its solve
+stops as soon as a boxed iterate z (head clipped to the box, tail at -b) has
+||Dperp z|| <= threshold: z lies in the slice, so the minimum over the slice,
+the distance, is at most the threshold, and the flip can be neither kept nor
+certified.  The stopped solve is discarded.  Every solve whose result the
+search keeps or certifies from (the first solve, margin-raising flips, and all
+flips once the incumbent is positive) runs to the fixed point as before, so
+the incumbent heads, warm starts and certificates keep their bits.  The one
+way a reject can differ from a solve run to the end is at the threshold edge:
+a fixed point that lands just above the threshold after an earlier boxed
+iterate was already at or below it.
 """
 
 from __future__ import annotations
@@ -63,13 +77,19 @@ def positivity_threshold(n: int) -> float:
 
 @dataclass(frozen=True)
 class DualSolve:
-    """Result of one box-slice-to-row-space distance computation."""
+    """Result of one box-slice-to-row-space distance computation.
+
+    ``converged`` means the solve ended before MAX_ITERATIONS.
+    ``stopped_below`` means it ended early, at a boxed point within the
+    ``stop_below`` bound it was given, rather than at the fixed point.
+    """
 
     b: np.ndarray
     z_star: np.ndarray
     distance: float
     iterations: int
     converged: bool
+    stopped_below: bool = False
 
 
 @dataclass(frozen=True)
@@ -116,8 +136,8 @@ class TauOutcome:
 
 
 def as_sign_pattern(b, k: int) -> np.ndarray:
-    """Validate and canonicalize a +-1 pattern of length k."""
-    arr = np.asarray(b, dtype=float).ravel()
+    """Validate and canonicalize a +-1 pattern of length k, as a new array."""
+    arr = np.array(b, dtype=float).ravel()
     if arr.shape != (k,):
         raise DomainError(f"sign pattern must have length {k}, got shape {arr.shape}")
     if k and not np.all(np.abs(arr) == 1.0):
@@ -125,7 +145,8 @@ def as_sign_pattern(b, k: int) -> np.ndarray:
     return arr
 
 
-def _box_lsq(M: np.ndarray, c: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, int, bool]:
+def _box_lsq(M: np.ndarray, c: np.ndarray, x0: np.ndarray,
+             stop_below: Optional[float] = None) -> tuple[np.ndarray, int, bool, bool]:
     """min ||M x - c||^2 over the unit box, by accelerated projected gradient.
 
     The gradient step is the plain step-1/2 projected-gradient update (the
@@ -135,33 +156,63 @@ def _box_lsq(M: np.ndarray, c: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, 
     step from the current iterate moves no coordinate by more than
     FIXED_POINT_TOL, so the returned point satisfies the same fixed-point
     criterion the plain method would.
+
+    With ``stop_below`` set, each test first checks the boxed iterate x: once
+    ||M x - c|| <= stop_below, the minimum is known to be at most that, and
+    the solve stops there.  Returns (x, iterations, converged, stopped); a
+    stopped solve counts as converged.
+
+    The loop runs on preallocated buffers, with the same floating-point
+    operations in the same order as the allocating form (kept as
+    ``box_lsq_reference`` in the tests), so its bits match that form's.
     """
+    stop_sq = None if stop_below is None else stop_below * stop_below
     x = x0.copy()
     y = x.copy()
+    xn = np.empty_like(x)
+    g = np.empty_like(x)
+    d = np.empty_like(x)   # xn - x in the loop; the projected step at a test
+    r = np.empty_like(c)   # the residual M v - c
+    Mt = M.T
     t_mom = 1.0
     it = 0
     for it in range(1, MAX_ITERATIONS + 1):
-        g = M.T @ (M @ y - c)
+        np.matmul(M, y, out=r)
+        np.subtract(r, c, out=r)
+        np.matmul(Mt, r, out=g)
         # minimum(maximum(.)) gives np.clip's bits for finite input and costs
         # less than np.clip on vectors of this size.
-        xn = np.minimum(np.maximum(y - g, -1.0), 1.0)
-        if np.dot(g, xn - x) > 0.0:
-            t_mom, y = 1.0, xn
+        np.subtract(y, g, out=xn)
+        np.maximum(xn, -1.0, out=xn)
+        np.minimum(xn, 1.0, out=xn)
+        np.subtract(xn, x, out=d)
+        if np.dot(g, d) > 0.0:
+            t_mom = 1.0
+            np.copyto(y, xn)
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            y = xn + ((t_mom - 1.0) / t_next) * (xn - x)
+            np.multiply(d, (t_mom - 1.0) / t_next, out=y)
+            np.add(xn, y, out=y)
             t_mom = t_next
-        x = xn
+        x, xn = xn, x
         if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:
-            gx = M.T @ (M @ x - c)
-            step = np.minimum(np.maximum(x - gx, -1.0), 1.0) - x
-            if np.max(np.abs(step), initial=0.0) <= FIXED_POINT_TOL:
-                return x, it, True
-    return x, it, False
+            np.matmul(M, x, out=r)
+            np.subtract(r, c, out=r)
+            if stop_sq is not None and np.dot(r, r) <= stop_sq:
+                return x, it, True, True
+            np.matmul(Mt, r, out=g)
+            np.subtract(x, g, out=d)
+            np.maximum(d, -1.0, out=d)
+            np.minimum(d, 1.0, out=d)
+            np.subtract(d, x, out=d)
+            if max(d.max(), -d.min()) <= FIXED_POINT_TOL:
+                return x, it, True, False
+    return x, it, False, False
 
 
 def dual_distance(P: NullProjector, k: int, b,
-                  x0: Optional[np.ndarray] = None) -> DualSolve:
+                  x0: Optional[np.ndarray] = None,
+                  stop_below: Optional[float] = None) -> DualSolve:
     """Distance from the box slice for pattern b to the row space of A.
 
     Parameters
@@ -174,6 +225,10 @@ def dual_distance(P: NullProjector, k: int, b,
         Sign pattern of length k (entries +-1).
     x0 : ndarray, optional
         Warm start for the head block (defaults to zeros).
+    stop_below : float, optional
+        Stop as soon as a boxed iterate lies within this distance of the row
+        space, which proves distance(b) <= stop_below; the result then has
+        ``stopped_below`` set.  Default: always solve to the fixed point.
 
     Returns
     -------
@@ -185,15 +240,17 @@ def dual_distance(P: NullProjector, k: int, b,
     if not (0 <= k < n):
         raise DomainError(f"need 0 <= k < n={n}, got k={k}")
     b = as_sign_pattern(b, k)
+    if stop_below is not None and not stop_below >= 0.0:
+        raise DomainError(f"stop_below must be nonnegative, got {stop_below}")
     Dperp = P.Dperp
     M = Dperp[:, :n - k]
     c = Dperp[:, n - k:] @ b if k else np.zeros(Dperp.shape[0])
     start = np.zeros(n - k) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
-    x, iterations, converged = _box_lsq(M, c, start)
+    x, iterations, converged, stopped = _box_lsq(M, c, start, stop_below)
     z = np.concatenate([x, -b])
     distance = float(np.linalg.norm(Dperp @ z))
-    return DualSolve(b=b, z_star=z, distance=distance,
-                     iterations=iterations, converged=converged)
+    return DualSolve(b=b, z_star=z, distance=distance, iterations=iterations,
+                     converged=converged, stopped_below=stopped)
 
 
 def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certificate:
@@ -210,6 +267,9 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
     threshold = positivity_threshold(n)
     if not solve.converged:
         raise UsageError("certificate extraction requires a converged solve")
+    if solve.stopped_below:
+        raise UsageError("certificate extraction requires a solve run to its fixed point, "
+                         "not one stopped below a bound")
     if solve.distance <= threshold:
         raise UsageError(
             f"distance {solve.distance:.3e} not above positivity threshold {threshold:.3e}"
@@ -307,6 +367,13 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
     the first verified certificate ends the search.  The search gives up
     after a full cycle of k consecutive non-improving flips, or after
     MAX_PASSES * k tentative evaluations.
+
+    While the incumbent sits at or below the positivity threshold, a flip
+    that does not raise the margin is kept only if its distance exceeds the
+    threshold.  Its solve is therefore told to stop below the threshold, and
+    a stopped solve is a reject: a boxed point that close to the row space
+    proves the distance is at most the threshold, so the flip could neither
+    be kept nor certified.  Every other solve runs to its fixed point.
     """
     if k < 1:
         raise UsageError(f"bit-flip search needs k >= 1, got k={k}")
@@ -326,7 +393,8 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
         )
 
     def try_certify(solve):
-        if not (solve.converged and solve.distance > threshold):
+        if not (solve.converged and not solve.stopped_below
+                and solve.distance > threshold):
             return None
         try:
             return extract_certificate(P, k, solve)
@@ -359,18 +427,20 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
         i = flips % k
         flips += 1
         margin_delta = float(-4.0 * b[i] * gram_b[i] + 4.0 * gram[i, i]) if gram is not None else 0.0
+        margin_cand = margin + margin_delta
+        margin_improves = margin_cand > margin + 1e-12 * max(1.0, abs(margin))
+        stop_below = threshold if quantized == 0.0 and not margin_improves else None
         b[i] = -b[i]
-        cand = dual_distance(P, k, b, x0=head)
+        cand = dual_distance(P, k, b, x0=head, stop_below=stop_below)
         if not cand.converged:
             unconverged += 1
-        cand_q = cand.distance if cand.distance > threshold else 0.0
+        positive = cand.distance > threshold and not cand.stopped_below
+        cand_q = cand.distance if positive else 0.0
         cert = try_certify(cand)
         if cert is not None:
             return finish(Verdict.CertifiedFailure, b, cand.distance, cert, flips)
-        margin_cand = margin + margin_delta
         improves = (cand_q > quantized + ACCEPT_TOL
-                    or (cand_q == quantized
-                        and margin_cand > margin + 1e-12 * max(1.0, abs(margin))))
+                    or (cand_q == quantized and margin_improves))
         if improves:
             if gram is not None:
                 gram_b = gram_b + 2.0 * b[i] * gram[:, i]

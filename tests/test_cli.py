@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import shutil
 import subprocess
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import secthresh.cli as cli
+import secthresh.harness as harness
 from secthresh import DomainError
 from secthresh.cli import main
 from secthresh.harness import MAX_REPS
@@ -130,6 +132,25 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "r.csv")) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("workers, env", [("-3", None), ("5000", None),
+                                              ("0", "-5"), ("0", "0"), ("0", "5000")])
+    def test_worker_count_bounded(self, tmp_path, capsys, monkeypatch, workers, env):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a pool was started or a rep was run")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
+        monkeypatch.setattr(harness, "_run_rep", unreachable)
+        if env is None:
+            monkeypatch.delenv("SECTHRESH_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("SECTHRESH_WORKERS", env)
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--cell", "30,24,12", "--reps", "5000",
+                       "--workers", workers, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "workers" in err.lower()
+        assert not out.exists()
 
     def test_malformed_cell(self, tmp_path, capsys):
         assert run_cli("simulate", "--cell", "30;24;10",

@@ -192,6 +192,29 @@ def test_more_workers_than_tasks(pool_sizes):
     assert pool_sizes == [2]
 
 
+@pytest.fixture
+def no_reps_run(monkeypatch):
+    """Fail the test if a process pool starts or a rep runs."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a pool was started or a rep was run")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
+    monkeypatch.setattr(harness, "_run_rep", unreachable)
+
+
+@pytest.mark.parametrize("workers", [-3, 0, harness.MAX_WORKERS + 1, 5000])
+def test_worker_count_bounded(no_reps_run, workers):
+    with pytest.raises(DomainError, match="workers"):
+        run_suite([CellSpec(n=30, m=24, k=12, reps=5000)], workers=workers)
+
+
+def test_worker_cap_itself_accepted(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    # One task needs no pool, whatever the cap allows.
+    [cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=1)], workers=harness.MAX_WORKERS)
+    assert len(cell.per_rep) == 1
+
+
 def test_import_loads_neither_sampler_nor_pool():
     # numpy.random is loaded on the first sample and the process pool on the
     # first parallel cell, not by `import secthresh`.

@@ -69,6 +69,14 @@ class TestDualDistance:
         d2 = dual_distance(P2, 4, b).distance
         assert abs(d1 - d2) <= 1e-9
 
+    def test_solve_keeps_its_pattern(self):
+        # The search flips its pattern in place; a solve keeps its own copy.
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=40, m=30, k=25), 0))
+        b = np.ones(25)
+        solve = dual_distance(P, 25, b)
+        b[0] = -1.0
+        assert np.all(solve.b == 1.0)
+
     def test_bad_sign_pattern(self):
         with pytest.raises(DomainError):
             dual_distance(_hand_projector(), 1, [2.0])
