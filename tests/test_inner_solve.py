@@ -3,7 +3,11 @@ below a bound, and a pin of the search's per-rep outcomes on table2."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,5 +176,18 @@ def table2_outcome_digest():
 def test_table2_search_outcomes_pinned():
     # Recorded before the early stop and the buffered loop: neither may move
     # a verdict, a flip count, a best distance or pattern, or a certificate.
-    assert table2_outcome_digest() == (
+    # The bits depend on how many threads OpenBLAS splits a product over, so
+    # the digest is taken in a child with single-threaded BLAS, set before
+    # numpy loads, as the benchmark runs it.
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
         "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40")
