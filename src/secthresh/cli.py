@@ -177,7 +177,8 @@ def _report_outcome(outcome, n: int, m: int, k: int,
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
-    # CellSpec holds the cell rule (m < n, 1 <= k < m) and raises DomainError.
+    # CellSpec holds the cell rules (n <= MAX_N, m < n, 1 <= k < m) and
+    # raises DomainError before anything is sampled.
     cell = CellSpec(n=args.n, m=args.m, k=args.k, reps=1)
     shape = ProblemShape(n=cell.n, m=cell.m, k=cell.k)
     instance = sample_gaussian_matrix(shape, args.seed)
@@ -204,7 +205,7 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
                                       k=int(entry["k"]),
                                       reps=int(entry.get("reps", args.reps)),
                                       base_seed=args.seed))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DomainError(f"malformed suite cell {entry!r}: {exc}") from exc
         return cells
     if args.cell:

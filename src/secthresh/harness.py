@@ -40,8 +40,7 @@ class CellSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        if not (self.m < self.n):
-            raise DomainError(f"need m < n, got m={self.m} n={self.n}")
+        ProblemShape(n=self.n, m=self.m, k=self.k)  # raises on a bad shape
         if not (1 <= self.k < self.m):
             raise DomainError(f"need 1 <= k < m, got k={self.k} m={self.m}")
         if not (1 <= self.reps <= MAX_REPS):

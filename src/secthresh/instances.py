@@ -19,6 +19,10 @@ from .errors import DomainError, NumericalError
 _TWO_NEG53 = 2.0 ** -53
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# Largest ambient dimension accepted.  Factoring an instance builds an n x n
+# orthonormal basis, 800 MB at this size; the embedded tables stop at n = 800.
+MAX_N = 10_000
+
 
 @dataclass(frozen=True)
 class ProblemShape:
@@ -29,6 +33,8 @@ class ProblemShape:
     k: int
 
     def __post_init__(self):
+        if self.n > MAX_N:
+            raise DomainError(f"need n <= {MAX_N}, got n={self.n}")
         if not (0 < self.m < self.n):
             raise DomainError(f"need 0 < m < n, got m={self.m} n={self.n}")
         if not (0 <= self.k <= self.n):

@@ -22,9 +22,13 @@ positivity threshold the distance is identically zero across wide regions of
 {-1,+1}^k and carries no search signal, so ties are broken by a *tail margin*:
 the squared norm of the minimum-head-energy row-space point with tail pinned
 at -b.  That margin is the quadratic form b^T G b of a Gram matrix built once
-per instance, so each tentative flip costs O(k) to score.  Patterns with
-larger margin force row-space vectors to carry more head energy, which is
-exactly what drives the slice off the row space and the distance positive.
+per instance from the SVD of the tail rows D_t = U S V^T of the row-space
+basis, in closed form G = U (S^-2 - I) U^T, so each tentative flip costs O(k)
+to score.  Patterns with larger margin force row-space vectors to carry more
+head energy, which is exactly what drives the slice off the row space and the
+distance positive.  When D_t is rank deficient (k > m, say) G is zero: no
+pattern's margin differs from another's, and the search runs on the distance
+alone.
 
 Most tentative flips are rejects, and most of them can be told apart early.
 While the incumbent sits at or below the threshold, a flip that does not raise
@@ -329,31 +333,26 @@ def verify_theorem2_construction(A: np.ndarray, k: int,
     )
 
 
-def _tail_margin_gram(P: NullProjector, k: int) -> Optional[np.ndarray]:
+def _tail_margin_gram(P: NullProjector, k: int) -> np.ndarray:
     """Gram matrix G with b^T G b = squared tail margin of pattern b.
 
     The margin is min ||z_head||_2 over row-space points z with z_tail = -b.
-    Writing row-space points as z = D c (D = orthonormal row-space basis),
-    the tail constraint picks c from an affine family and the minimum head
-    energy becomes ||T b||^2 for a precomputable matrix T.  Returns None when
-    the tail rows of D are rank deficient (k > m, say); callers then fall
-    back to a signal-less search.
+    Writing row-space points as z = D c (D = orthonormal row-space basis,
+    split into head rows D_h and tail rows D_t), the minimizer is the
+    minimum-norm solution of D_t c = -b, and ||z_head||^2 = ||c||^2 - ||b||^2
+    because the columns of D are orthonormal.  With D_t = U S V^T that gives
+
+        G = (D_t D_t^T)^{-1} - I = U (S^-2 - I) U^T.
+
+    When the tail rows of D are rank deficient (k > m, or two equal tail
+    columns of A) no row-space point pins every tail pattern, and G is zero:
+    every pattern has the same margin, so the margin carries no search signal.
     """
-    n, m = P.shape.n, P.shape.m
-    D = P.rowspace.T                      # n x m, orthonormal columns
-    Dh, Dt = D[:n - k], D[n - k:]         # (n-k) x m, k x m
-    u, s, vt = np.linalg.svd(Dt, full_matrices=True)
+    n = P.shape.n
+    u, s, _ = np.linalg.svd(P.rowspace[:, n - k:].T, full_matrices=False)
     if s.shape[0] < k or s[-1] <= 1e-10:
-        return None
-    pinv_dt = (vt[:k].T / s) @ u.T        # m x k
-    r_map = -Dh @ pinv_dt                 # (n-k) x k
-    z_basis = vt[k:].T                    # m x (m-k): null basis of Dt
-    if z_basis.shape[1]:
-        q, _ = np.linalg.qr(Dh @ z_basis)
-        t_map = r_map - q @ (q.T @ r_map)
-    else:
-        t_map = r_map
-    return t_map.T @ t_map
+        return np.zeros((k, k))
+    return (u * (1.0 / (s * s) - 1.0)) @ u.T
 
 
 def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
@@ -403,12 +402,8 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
 
     gram = _tail_margin_gram(P, k)
     b = np.ones(k)
-    if gram is not None:
-        gram_b = gram @ b
-        margin = float(b @ gram_b)
-    else:
-        gram_b = np.zeros(k)
-        margin = 0.0
+    gram_b = gram @ b
+    margin = float(b @ gram_b)
 
     solve = dual_distance(P, k, b)
     if not solve.converged:
@@ -426,8 +421,7 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
     while rejects < k and flips < cap:
         i = flips % k
         flips += 1
-        margin_delta = float(-4.0 * b[i] * gram_b[i] + 4.0 * gram[i, i]) if gram is not None else 0.0
-        margin_cand = margin + margin_delta
+        margin_cand = margin + float(-4.0 * b[i] * gram_b[i] + 4.0 * gram[i, i])
         margin_improves = margin_cand > margin + 1e-12 * max(1.0, abs(margin))
         stop_below = threshold if quantized == 0.0 and not margin_improves else None
         b[i] = -b[i]
@@ -442,8 +436,7 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
         improves = (cand_q > quantized + ACCEPT_TOL
                     or (cand_q == quantized and margin_improves))
         if improves:
-            if gram is not None:
-                gram_b = gram_b + 2.0 * b[i] * gram[:, i]
+            gram_b = gram_b + 2.0 * b[i] * gram[:, i]
             margin = margin_cand
             incumbent = cand.distance
             quantized = cand_q

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import secthresh.harness as harness
 from secthresh import DomainError
 from secthresh.cli import main
 from secthresh.harness import MAX_REPS
+from secthresh.instances import MAX_N
 
 
 def run_cli(*argv):
@@ -21,6 +23,39 @@ def drop_timing(csv_text):
     # mean_seconds (the last column) is wall-clock and legitimately varies
     # between reruns; everything before it must be stable.
     return ["," .join(line.split(",")[:-1]) for line in csv_text.splitlines()]
+
+
+@pytest.fixture
+def nothing_runs(monkeypatch):
+    """Fail a test that samples an instance, runs a rep or starts a search."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversized shape got past validation")
+
+    monkeypatch.setattr(cli, "sample_gaussian_matrix", unreachable)
+    monkeypatch.setattr(cli, "estimate_failure", unreachable)
+    monkeypatch.setattr(harness, "_run_rep", unreachable)
+
+
+class TestDimensionCap:
+    """n above MAX_N exits 2 before any n x n basis is allocated."""
+
+    def test_simulate(self, tmp_path, capsys, nothing_runs):
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--cell", "2000000,2,1", "--reps", "1",
+                       "--workers", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: need n <= {MAX_N}, got n=2000000\n"
+        assert not out.exists()
+
+    def test_tau(self, capsys, nothing_runs):
+        assert run_cli("tau", "--n", "2000000", "--m", "2", "--k", "1") == 2
+        assert capsys.readouterr().err == f"error: need n <= {MAX_N}, got n=2000000\n"
+
+    def test_certify(self, tmp_path, capsys, nothing_runs):
+        mat = tmp_path / "m.csv"
+        mat.write_text(",".join(["1"] * (MAX_N + 1)) + "\n")
+        assert run_cli("certify", "--matrix", str(mat), "--k", "1") == 2
+        assert capsys.readouterr().err == (
+            f"error: need n <= {MAX_N}, got n={MAX_N + 1}\n")
 
 
 class TestCurvesCommand:
@@ -82,6 +117,14 @@ class TestCurvesCommand:
         assert run_cli("curves", "--grid", "0.2:0.8:0.2", "--out", str(a)) == 0
         assert run_cli("curves", "--grid", "0.2:0.8:0.2", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+
+    def test_default_grid_csv_pinned(self, tmp_path, capsys):
+        # The fixed-seed contract's curve bytes, on the default grid.
+        out = tmp_path / "c.csv"
+        assert run_cli("curves", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "1decebd191fab13ef02432571635d321f1ca4c972cdc4bdadfce60bccb1af87a")
         capsys.readouterr()
 
     def test_svg_written(self, tmp_path, capsys):
@@ -194,6 +237,18 @@ class TestSimulateCommand:
         assert rows[1].split(",")[3] == "2"  # explicit per-cell reps
         assert rows[2].split(",")[3] == "1"  # fell back to --reps
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n, reps", [("1e400", "2"), ("30", "1e400")])
+    def test_suite_number_overflow_rejected(self, tmp_path, capsys, n, reps):
+        # JSON reads 1e400 as inf, which no int holds.
+        suite = tmp_path / "suite.json"
+        suite.write_text(f'[{{"n": {n}, "m": 24, "k": 10, "reps": {reps}}}]')
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--suite", str(suite), "--out", str(out),
+                       "--workers", "1") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "malformed suite cell" in err
+        assert not out.exists()
 
     def test_unreadable_suite(self, tmp_path, capsys):
         assert run_cli("simulate", "--suite", str(tmp_path / "missing.json"),

@@ -58,6 +58,11 @@ class TestCellSpec:
         with pytest.raises(DomainError):
             CellSpec(n=100, m=50, k=5, reps=0)
 
+    def test_dimension_cap(self):
+        # The shape rules are ProblemShape's, so the n cap holds for a cell.
+        with pytest.raises(DomainError, match="n <="):
+            CellSpec(n=2_000_000, m=2, k=1, reps=1)
+
     def test_reps_cap(self):
         assert CellSpec(n=100, m=50, k=5, reps=MAX_REPS).reps == MAX_REPS
         with pytest.raises(DomainError, match="reps"):

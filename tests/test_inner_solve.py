@@ -1,5 +1,6 @@
 """The inner solve loop: bit identity with its allocating form, the early stop
-below a bound, and a pin of the search's per-rep outcomes on table2."""
+below a bound, and pins of the search's outcomes: per rep on table2, and the
+certificate the `tau` command writes for one cell."""
 
 import hashlib
 import math
@@ -173,21 +174,37 @@ def table2_outcome_digest():
     return h.hexdigest()
 
 
-def test_table2_search_outcomes_pinned():
-    # Recorded before the early stop and the buffered loop: neither may move
-    # a verdict, a flip count, a best distance or pattern, or a certificate.
-    # The bits depend on how many threads OpenBLAS splits a product over, so
-    # the digest is taken in a child with single-threaded BLAS, set before
-    # numpy loads, as the benchmark runs it.
+def _single_thread_blas(*argv):
+    """stdout of ``python *argv`` in a child with single-threaded BLAS.
+
+    The search's bits depend on how many threads OpenBLAS splits a product
+    over, so its pins are taken with the thread count set before numpy loads,
+    as the benchmark runs it.
+    """
     here = Path(__file__).resolve().parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(here.parent / "src"), str(here)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == (
+    return proc.stdout
+
+
+def test_table2_search_outcomes_pinned():
+    # Recorded before the early stop and the buffered loop: neither may move
+    # a verdict, a flip count, a best distance or pattern, or a certificate.
+    code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
+    assert _single_thread_blas("-c", code).strip() == (
         "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40")
+
+
+def test_tau_certificate_pinned(tmp_path):
+    # The certificate JSON of the `tau` contract cell, byte for byte.
+    cert = tmp_path / "cert.json"
+    _single_thread_blas("-m", "secthresh.cli", "tau", "--n", "200", "--m", "180",
+                        "--k", "74", "--seed", "1", "--emit-certificate", str(cert))
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
+        "3333d45be473296acbcf3cbc5052540a32a6071c83fcce8e7b84bcd971ff6b45")

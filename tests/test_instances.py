@@ -6,6 +6,7 @@ import pytest
 from secthresh import (DomainError, NumericalError, ProblemShape,
                        derive_rep_seed, null_projector,
                        null_projector_from_matrix, sample_gaussian_matrix)
+from secthresh.instances import MAX_N
 
 
 class TestProblemShape:
@@ -21,6 +22,11 @@ class TestProblemShape:
             ProblemShape(n=10, m=4, k=11)  # k must be <= n
         with pytest.raises(DomainError):
             ProblemShape(n=10, m=0, k=2)
+
+    def test_dimension_cap(self):
+        assert ProblemShape(n=MAX_N, m=1, k=0).n == MAX_N
+        with pytest.raises(DomainError, match="n <="):
+            ProblemShape(n=MAX_N + 1, m=1, k=0)
 
 
 class TestSampleGaussianMatrix:

@@ -218,6 +218,34 @@ class TestBitFlipSearch:
         assert out.best_distance >= start - 1e-9
 
 
+class TestTailMarginGram:
+    @pytest.mark.parametrize("n, m, k, seed", [(300, 180, 47, 0), (200, 180, 74, 1),
+                                               (800, 80, 12, 2), (400, 200, 46, 3)])
+    def test_matches_minimum_norm_lstsq(self, n, m, k, seed):
+        # The margin is the head energy of the row-space point D c whose tail
+        # is -b, with c the minimum-norm solution of D_t c = -b.
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed))
+        D = P.rowspace.T
+        G = tau._tail_margin_gram(P, k)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            b = rng.choice([-1.0, 1.0], size=k)
+            c = np.linalg.lstsq(D[n - k:], -b, rcond=None)[0]
+            want = float(np.sum((D[:n - k] @ c) ** 2))
+            assert abs(b @ G @ b - want) <= 1e-10 * want
+
+    def test_rank_deficient_tail_is_zero(self):
+        # More tail coordinates than measurements.
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=30, m=10, k=15), 5))
+        G = tau._tail_margin_gram(P, 15)
+        assert G.shape == (15, 15) and not G.any()
+        # Two equal tail columns of A.
+        A = np.random.default_rng(6).standard_normal((10, 30))
+        A[:, -1] = A[:, -2]
+        G = tau._tail_margin_gram(null_projector_from_matrix(A, k=5), 5)
+        assert G.shape == (5, 5) and not G.any()
+
+
 class TestEstimateFailure:
     def test_k_zero_short_circuit(self):
         inst = sample_gaussian_matrix(ProblemShape(n=12, m=5, k=0), 1)
