@@ -46,15 +46,18 @@ MAX_GRID_POINTS = 10_000
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -74,16 +77,6 @@ def _parse_grid(spec: str) -> list[float]:
         raise DomainError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
     count = int(steps) + 1
     return [round(start + i * step, 12) for i in range(count)]
-
-
-def _default_workers() -> int:
-    env = os.environ.get("SECTHRESH_WORKERS")
-    if env:
-        try:
-            return int(env)  # run_suite checks the range
-        except ValueError:
-            raise DomainError(f"SECTHRESH_WORKERS must be an integer, got {env!r}")
-    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 def _curves_svg(points_by_kind: dict[CurveKind, list[tuple[float, float]]]) -> str:
@@ -187,6 +180,13 @@ def cmd_tau(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _suite_int(value) -> int:
+    # int() would truncate 30.7 to 30; a suite number must be integral.
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
     if args.builtin:
         return builtin_suite(args.builtin, reps=args.reps, base_seed=args.seed)
@@ -201,11 +201,11 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
         cells = []
         for entry in raw:
             try:
-                cells.append(CellSpec(n=int(entry["n"]), m=int(entry["m"]),
-                                      k=int(entry["k"]),
-                                      reps=int(entry.get("reps", args.reps)),
+                cells.append(CellSpec(n=_suite_int(entry["n"]), m=_suite_int(entry["m"]),
+                                      k=_suite_int(entry["k"]),
+                                      reps=_suite_int(entry.get("reps", args.reps)),
                                       base_seed=args.seed))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DomainError(f"malformed suite cell {entry!r}: {exc}") from exc
         return cells
     if args.cell:
@@ -219,7 +219,13 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cells = _load_suite(args)
-    workers = args.workers if args.workers else _default_workers()
+    # Refuse an unwritable output path before the suite runs, not after it.
+    directory = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(directory):
+        raise DomainError(f"cannot write {args.out!r}: no directory {directory!r}")
+    if os.path.isdir(args.out):
+        raise DomainError(f"cannot write {args.out!r}: Is a directory")
+    workers = args.workers or min(os.cpu_count() or 1, MAX_WORKERS)
     results = run_suite(cells, workers=workers)
     lines = ["n,m,k,reps,failures,rate,paper_rate,mean_flips,errors,mean_seconds"]
     for res in results:
@@ -323,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default="results.csv")
     p_sim.add_argument("--workers", type=int, default=0,
                        help=f"worker processes, 1 to {MAX_WORKERS} "
-                            "(default: SECTHRESH_WORKERS or CPU count)")
+                            "(default: the CPU count)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cert = sub.add_parser("certify", help="certify a matrix supplied as CSV")

@@ -5,7 +5,9 @@ pipeline on each, and reports the fraction certified.  A suite runs every rep
 of every cell on one process pool, so the workers stay busy across cell
 boundaries.  Per-rep seeds are pre-derived from the cell's base seed, so
 results are identical no matter how the work is scheduled or how many workers
-run it.
+run it.  Each rep is timed here, once, around ``estimate_failure``: the
+factorization, the search and the certificate checks, not the sampling.  A
+cell keeps only its reps; its counts and means are computed from them.
 
 The reference counts from the original simulation study are embedded for
 side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
@@ -14,7 +16,8 @@ side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -60,17 +63,26 @@ class RepRecord:
     errored: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellResult:
     """A cell's reps.  ``failures`` counts certified failures and ``errors``
     the reps that errored; both are out of ``spec.reps``.  The means are over
     the reps that did not error, and read 0.0 if every rep errored."""
 
     spec: CellSpec
-    failures: int = 0
-    errors: int = 0
-    per_rep: list[RepRecord] = field(default_factory=list)
-    paper_reference_rate: Optional[float] = None
+    per_rep: tuple[RepRecord, ...]
+
+    @property
+    def failures(self) -> int:
+        return sum(r.verdict is Verdict.CertifiedFailure for r in self.per_rep)
+
+    @property
+    def errors(self) -> int:
+        return sum(r.errored for r in self.per_rep)
+
+    @property
+    def paper_reference_rate(self) -> Optional[float]:
+        return paper_rate(self.spec.n, self.spec.m, self.spec.k)
 
     @property
     def rate(self) -> float:
@@ -116,19 +128,20 @@ _TABLE2 = {
 }
 
 
+_REFERENCE = {(n, m, k): (errors, reps)
+              for group in (_TABLE1, _TABLE2)
+              for (n, m), rows in group.items()
+              for k, errors, reps in rows}
+
+
 def builtin_tables() -> dict[tuple[int, int, int], tuple[int, int]]:
     """All embedded reference cells as {(n, m, k): (errors, repetitions)}."""
-    out: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for group in (_TABLE1, _TABLE2):
-        for (n, m), rows in group.items():
-            for k, errors, reps in rows:
-                out[(n, m, k)] = (errors, reps)
-    return out
+    return dict(_REFERENCE)
 
 
 def paper_rate(n: int, m: int, k: int) -> Optional[float]:
     """Reference failure rate for a cell, or None if the cell is not tabulated."""
-    entry = builtin_tables().get((n, m, k))
+    entry = _REFERENCE.get((n, m, k))
     if entry is None:
         return None
     errors, reps = entry
@@ -150,6 +163,7 @@ def builtin_suite(name: str, reps: int = 25, base_seed: int = 0) -> list[CellSpe
 def _run_rep(args: tuple[int, int, int, int]) -> RepRecord:
     n, m, k, seed = args
     instance = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed)
+    started = time.perf_counter()
     try:
         outcome = estimate_failure(instance, k)
     except SecthreshError as exc:
@@ -157,7 +171,8 @@ def _run_rep(args: tuple[int, int, int, int]) -> RepRecord:
                          seconds=0.0, diagnostic=f"{type(exc).__name__}: {exc}",
                          errored=True)
     return RepRecord(seed=seed, verdict=outcome.verdict, flips=outcome.flips_evaluated,
-                     seconds=outcome.seconds, diagnostic=outcome.diagnostic)
+                     seconds=time.perf_counter() - started,
+                     diagnostic=outcome.diagnostic)
 
 
 def run_suite(cells: Sequence[CellSpec], workers: int = 1) -> list[CellResult]:
@@ -183,11 +198,4 @@ def run_suite(cells: Sequence[CellSpec], workers: int = 1) -> list[CellResult]:
         records = [_run_rep(t) for t in tasks]
     # pool.map keeps task order, so each cell's reps are the next spec.reps.
     ordered = iter(records)
-    return [_cell_result(spec, list(islice(ordered, spec.reps))) for spec in cells]
-
-
-def _cell_result(spec: CellSpec, records: list[RepRecord]) -> CellResult:
-    failures = sum(1 for r in records if r.verdict is Verdict.CertifiedFailure)
-    errors = sum(1 for r in records if r.errored)
-    return CellResult(spec=spec, failures=failures, errors=errors, per_rep=records,
-                      paper_reference_rate=paper_rate(spec.n, spec.m, spec.k))
+    return [CellResult(spec, tuple(islice(ordered, spec.reps))) for spec in cells]

@@ -48,8 +48,7 @@ iterate was already at or below it.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -131,7 +130,6 @@ class TauOutcome:
     best_distance: float
     certificate: Optional[Certificate]
     flips_evaluated: int
-    seconds: float = 0.0
     diagnostic: str = ""
 
     def __post_init__(self):
@@ -144,7 +142,7 @@ def as_sign_pattern(b, k: int) -> np.ndarray:
     arr = np.array(b, dtype=float).ravel()
     if arr.shape != (k,):
         raise DomainError(f"sign pattern must have length {k}, got shape {arr.shape}")
-    if k and not np.all(np.abs(arr) == 1.0):
+    if not np.all(np.abs(arr) == 1.0):
         raise DomainError("sign pattern entries must be exactly +-1")
     return arr
 
@@ -248,7 +246,7 @@ def dual_distance(P: NullProjector, k: int, b,
         raise DomainError(f"stop_below must be nonnegative, got {stop_below}")
     Dperp = P.Dperp
     M = Dperp[:, :n - k]
-    c = Dperp[:, n - k:] @ b if k else np.zeros(Dperp.shape[0])
+    c = Dperp[:, n - k:] @ b
     start = np.zeros(n - k) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
     x, iterations, converged, stopped = _box_lsq(M, c, start, stop_below)
     z = np.concatenate([x, -b])
@@ -379,7 +377,6 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
     n = P.shape.n
     if k >= n:
         raise DomainError(f"need k < n={n}, got k={k}")
-    started = time.perf_counter()
     threshold = positivity_threshold(n)
     unconverged = 0
 
@@ -387,8 +384,7 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
         note = f"unconverged-solves={unconverged}" if unconverged else ""
         return TauOutcome(
             verdict=verdict, best_b=b.copy(), best_distance=distance,
-            certificate=cert, flips_evaluated=flips,
-            seconds=time.perf_counter() - started, diagnostic=note,
+            certificate=cert, flips_evaluated=flips, diagnostic=note,
         )
 
     def try_certify(solve):
@@ -449,20 +445,14 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
 
 
 def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
-    """Full pipeline for one instance: factor, search, verify, time.
+    """Full pipeline for one instance: factor, search, verify.
 
     k = 0 short-circuits to NotCertified (no sign pattern exists, and the
     functional is identically nonnegative there).
     """
-    started = time.perf_counter()
     if k == 0:
-        return TauOutcome(
-            verdict=Verdict.NotCertified, best_b=np.zeros(0), best_distance=0.0,
-            certificate=None, flips_evaluated=0,
-            seconds=time.perf_counter() - started,
-        )
-    if instance.shape.k != k:
-        instance = replace(instance, shape=replace(instance.shape, k=k))
+        return TauOutcome(verdict=Verdict.NotCertified, best_b=np.zeros(0),
+                          best_distance=0.0, certificate=None, flips_evaluated=0)
     P = null_projector(instance)
     outcome = bit_flip_search(P, k)
     if outcome.verdict is Verdict.CertifiedFailure:
@@ -472,4 +462,4 @@ def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
                 "certified outcome failed the construction check",
                 gap=outcome.certificate.gap,
             )
-    return replace(outcome, seconds=time.perf_counter() - started)
+    return outcome

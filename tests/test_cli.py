@@ -176,18 +176,13 @@ class TestSimulateCommand:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("workers, env", [("-3", None), ("5000", None),
-                                              ("0", "-5"), ("0", "0"), ("0", "5000")])
-    def test_worker_count_bounded(self, tmp_path, capsys, monkeypatch, workers, env):
+    @pytest.mark.parametrize("workers", ["-3", "5000"])
+    def test_worker_count_bounded(self, tmp_path, capsys, monkeypatch, workers):
         def unreachable(*args, **kwargs):
             raise AssertionError("a pool was started or a rep was run")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
         monkeypatch.setattr(harness, "_run_rep", unreachable)
-        if env is None:
-            monkeypatch.delenv("SECTHRESH_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("SECTHRESH_WORKERS", env)
         out = tmp_path / "r.csv"
         assert run_cli("simulate", "--cell", "30,24,12", "--reps", "5000",
                        "--workers", workers, "--out", str(out)) == 2
@@ -238,9 +233,11 @@ class TestSimulateCommand:
         assert rows[2].split(",")[3] == "1"  # fell back to --reps
         capsys.readouterr()
 
-    @pytest.mark.parametrize("n, reps", [("1e400", "2"), ("30", "1e400")])
+    @pytest.mark.parametrize("n, reps", [("1e400", "2"), ("30", "1e400"),
+                                         ("30.7", "1"), ("30", "1.9")])
     def test_suite_number_overflow_rejected(self, tmp_path, capsys, n, reps):
-        # JSON reads 1e400 as inf, which no int holds.
+        # JSON reads 1e400 as inf, which no int holds; int() would truncate
+        # 30.7 to n = 30 and 1.9 to 1 rep.
         suite = tmp_path / "suite.json"
         suite.write_text(f'[{{"n": {n}, "m": 24, "k": 10, "reps": {reps}}}]')
         out = tmp_path / "r.csv"
@@ -250,6 +247,15 @@ class TestSimulateCommand:
         assert len(err.splitlines()) == 1 and "malformed suite cell" in err
         assert not out.exists()
 
+    def test_suite_integral_float_accepted(self, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text('[{"n": 30.0, "m": 24, "k": 10, "reps": 1.0}]')
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--suite", str(suite), "--out", str(out),
+                       "--workers", "1") == 0
+        assert out.read_text().splitlines()[1].startswith("30,24,10,1,")
+        capsys.readouterr()
+
     def test_unreadable_suite(self, tmp_path, capsys):
         assert run_cli("simulate", "--suite", str(tmp_path / "missing.json"),
                        "--out", str(tmp_path / "r.csv")) == 2
@@ -258,6 +264,41 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--suite", str(bad),
                        "--out", str(tmp_path / "r.csv")) == 2
         capsys.readouterr()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with one stderr line."""
+
+    def assert_one_line(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and f"cannot write {str(path)!r}" in err
+
+    def test_curves_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.csv"
+        assert run_cli("curves", "--grid", "0.5:0.5:0.1", "--out", str(out)) == 2
+        self.assert_one_line(capsys, out)
+
+    def test_curves_out_is_directory(self, tmp_path, capsys):
+        assert run_cli("curves", "--grid", "0.5:0.5:0.1", "--out", str(tmp_path)) == 2
+        self.assert_one_line(capsys, tmp_path)
+        assert list(tmp_path.iterdir()) == []  # the temp file is gone
+
+    def test_simulate_missing_directory_before_any_rep(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rep ran before the output path was checked")
+
+        monkeypatch.setattr(harness, "_run_rep", unreachable)
+        out = tmp_path / "missing" / "r.csv"
+        assert run_cli("simulate", "--cell", "30,24,10", "--reps", "1",
+                       "--workers", "1", "--out", str(out)) == 2
+        self.assert_one_line(capsys, out)
+
+    def test_tau_certificate_missing_directory(self, tmp_path, capsys):
+        cert = tmp_path / "missing" / "c.json"
+        # This seed certifies, so the certificate is written.
+        assert run_cli("tau", "--n", "30", "--m", "24", "--k", "12", "--seed", "0",
+                       "--emit-certificate", str(cert)) == 2
+        self.assert_one_line(capsys, cert)
 
 
 class TestCertifyCommand:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,10 +9,12 @@ import pytest
 
 import secthresh
 import secthresh.harness as harness
-from secthresh import (CellSpec, DomainError, NumericalError, Verdict,
-                       builtin_suite, builtin_tables, derive_rep_seed,
-                       paper_rate, run_suite)
+from secthresh import (CellResult, CellSpec, DomainError, NumericalError,
+                       RepRecord, Verdict, builtin_suite, builtin_tables,
+                       derive_rep_seed, paper_rate, run_suite)
 from secthresh.harness import MAX_REPS
+
+from test_inner_solve import _single_thread_blas
 
 
 class TestBuiltinTables:
@@ -128,10 +131,42 @@ class TestRunCell:
         # rate still counts every rep, errored ones included.
         assert res.rate == res.failures / 2
 
+    def test_wall_clock_recorded(self):
+        # A rep that did not error is timed around estimate_failure.
+        [rec] = run_suite([CellSpec(n=30, m=20, k=8, reps=1, base_seed=2)])[0].per_rep
+        assert not rec.errored and rec.seconds > 0.0
+
     def test_reference_rate_joined(self):
         res = run_suite([CellSpec(n=400, m=80, k=10, reps=1)])[0]
         assert res.paper_reference_rate == pytest.approx(0.0)
         assert res.per_rep[0].verdict is Verdict.NotCertified
+
+
+def test_cell_counts_derived_from_reps():
+    spec = CellSpec(n=800, m=80, k=14, reps=3)
+    reps = (RepRecord(seed=1, verdict=Verdict.CertifiedFailure, flips=4, seconds=0.5),
+            RepRecord(seed=2, verdict=Verdict.NotCertified, flips=0, seconds=0.0,
+                      diagnostic="NumericalError: forced", errored=True),
+            RepRecord(seed=3, verdict=Verdict.NotCertified, flips=10, seconds=1.5))
+    cell = CellResult(spec=spec, per_rep=reps)
+    assert (cell.failures, cell.errors) == (1, 1)
+    assert cell.rate == pytest.approx(1 / 3)
+    assert cell.mean_flips == 7.0 and cell.mean_seconds == 1.0
+    assert cell.paper_reference_rate == paper_rate(800, 80, 14) == pytest.approx(0.99)
+    with pytest.raises(AttributeError):
+        cell.per_rep = ()
+
+
+def test_table2_csv_pinned(tmp_path):
+    # The harness half of the fixed-seed contract: the table2 CSV at 2 reps
+    # and seed 0, every column but mean_seconds, byte for byte.
+    out = tmp_path / "t2.csv"
+    _single_thread_blas("-m", "secthresh.cli", "simulate", "--builtin", "table2",
+                        "--reps", "2", "--seed", "0", "--workers", "2", "--out", str(out))
+    stable = "".join(",".join(line.split(",")[:-1]) + "\n"
+                     for line in out.read_text().splitlines())
+    assert hashlib.sha256(stable.encode()).hexdigest() == (
+        "1ce0e3aa604df19b64131f85d543be358006212f8f74e8abc1fcd08a7cbce9f5")
 
 
 def test_run_suite_empty():

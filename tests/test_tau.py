@@ -265,11 +265,6 @@ class TestEstimateFailure:
         out = estimate_failure(inst, 4)
         assert out.verdict is Verdict.NotCertified
 
-    def test_wall_clock_recorded(self):
-        inst = sample_gaussian_matrix(ProblemShape(n=30, m=20, k=8), 2)
-        out = estimate_failure(inst, 8)
-        assert out.seconds > 0.0
-
 
 class TestOptionsAndOutcome:
     def test_positivity_threshold_scales(self):
