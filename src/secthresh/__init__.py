@@ -21,9 +21,8 @@ from .errors import (CertificateError, ConsistencyError, DomainError,
 from .harness import (CellResult, CellSpec, RepRecord, builtin_suite,
                       builtin_tables, paper_rate, run_suite)
 from .instances import (GaussianInstance, NullProjector, ProblemShape,
-                        derive_rep_seed, null_projector,
-                        null_projector_from_matrix, sample_gaussian_matrix)
-from .special import erf, erfc, erfinv
+                        derive_rep_seed, null_projector, sample_gaussian_matrix)
+from .special import erfinv
 from .tau import (Certificate, ConstructionReport, DualSolve, TauOutcome,
                   Verdict, bit_flip_search, dual_distance, estimate_failure,
                   extract_certificate, verify_theorem2_construction)
@@ -39,8 +38,7 @@ __all__ = [
     "CellResult", "CellSpec", "RepRecord", "builtin_suite", "builtin_tables",
     "paper_rate", "run_suite",
     "GaussianInstance", "NullProjector", "ProblemShape", "derive_rep_seed",
-    "null_projector", "null_projector_from_matrix", "sample_gaussian_matrix",
-    "erf", "erfc", "erfinv",
+    "null_projector", "sample_gaussian_matrix", "erfinv",
     "Certificate", "ConstructionReport", "DualSolve",
     "TauOutcome", "Verdict", "bit_flip_search",
     "dual_distance", "estimate_failure", "extract_certificate",

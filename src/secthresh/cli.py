@@ -44,6 +44,18 @@ _CURVE_ORDER = (CurveKind.WeakExact, CurveKind.SectionalLower, CurveKind.Section
 MAX_GRID_POINTS = 10_000
 
 
+def _check_writable(*paths: Optional[str]) -> None:
+    """Refuse an unwritable output path before any work; skip an empty one."""
+    for path in paths:
+        if not path:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise DomainError(f"cannot write {path!r}: no directory {directory!r}")
+        if os.path.isdir(path):
+            raise DomainError(f"cannot write {path!r}: Is a directory")
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     try:
@@ -121,7 +133,8 @@ def _curves_svg(points_by_kind: dict[CurveKind, list[tuple[float, float]]]) -> s
 
 def cmd_curves(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    curve_set = emit_curves(grid, xi_sk=args.xi_sk, tol=args.tol)
+    _check_writable(args.out, args.svg)
+    curve_set = emit_curves(grid, xi_sk=args.xi_sk)
     lines = ["curve,alpha,beta"]
     by_kind: dict[CurveKind, list[tuple[float, float]]] = {}
     for kind in _CURVE_ORDER:
@@ -173,6 +186,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
     # CellSpec holds the cell rules (n <= MAX_N, m < n, 1 <= k < m) and
     # raises DomainError before anything is sampled.
     cell = CellSpec(n=args.n, m=args.m, k=args.k, reps=1)
+    _check_writable(args.emit_certificate)
     shape = ProblemShape(n=cell.n, m=cell.m, k=cell.k)
     instance = sample_gaussian_matrix(shape, args.seed)
     outcome = estimate_failure(instance, args.k)
@@ -219,12 +233,7 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cells = _load_suite(args)
-    # Refuse an unwritable output path before the suite runs, not after it.
-    directory = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(directory):
-        raise DomainError(f"cannot write {args.out!r}: no directory {directory!r}")
-    if os.path.isdir(args.out):
-        raise DomainError(f"cannot write {args.out!r}: Is a directory")
+    _check_writable(args.out)
     workers = args.workers or min(os.cpu_count() or 1, MAX_WORKERS)
     results = run_suite(cells, workers=workers)
     lines = ["n,m,k,reps,failures,rate,paper_rate,mean_flips,errors,mean_seconds"]
@@ -271,12 +280,10 @@ def _read_matrix_csv(path: str) -> np.ndarray:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    _check_writable(args.emit_certificate)
     A = _read_matrix_csv(args.matrix)
     m, n = A.shape
-    if not (m < n):
-        raise DomainError(f"matrix must be wide (m < n), got {m}x{n}")
-    if not (1 <= args.k < n):
-        raise DomainError(f"need 1 <= k < n={n}, got k={args.k}")
+    shape = ProblemShape(n=n, m=m, k=args.k)
     # Far from unit scale ||A||_F overflows or underflows and no certificate
     # re-checks; a power-of-two rescale is exact and keeps the null space.
     peak = float(np.max(np.abs(A)))
@@ -284,10 +291,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
         e = math.frexp(peak)[1]
         A = np.ldexp(A, -e)
         print(f"note: matrix rescaled by 2^{-e} (max |entry| was {peak:.6g})")
-    shape = ProblemShape(n=n, m=m, k=args.k)
     instance = GaussianInstance(shape=shape, seed=0, A=A)
-    # estimate_failure re-checks a certificate's construction itself and
-    # raises CertificateError when it fails.
+    # estimate_failure rejects k outside [1, n) before it factors A, and
+    # raises CertificateError when a certificate's construction fails.
     outcome = estimate_failure(instance, args.k)
     _report_outcome(outcome, n, m, args.k, args.emit_certificate)
     return EXIT_OK
@@ -306,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="alpha grid START:STOP:STEP (default 0.05:0.95:0.05)")
     p_curves.add_argument("--xi-sk", type=float, default=XI_SK_DEFAULT, dest="xi_sk",
                           help="spin-glass constant for the sectional upper bound")
-    p_curves.add_argument("--tol", type=float, default=1e-10)
     p_curves.add_argument("--out", default="curves.csv")
     p_curves.add_argument("--svg", default=None, help="optional SVG plot path")
     p_curves.set_defaults(func=cmd_curves)

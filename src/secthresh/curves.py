@@ -21,10 +21,9 @@ bisection, and every returned root re-checks its own residual.  The scan
 refuses to proceed if it sees more than one sign change, so an unexpected
 multi-root geometry fails loudly instead of returning garbage.
 
-The sec-lower curve depends on neither ``xi_sk`` nor ``tol``, so its
-600-point parametric sweep is solved once per process, on the first
-:func:`emit_curves` call, and shared by every later call.  Weak and sec-upper
-roots are solved on every call.
+The sec-lower curve does not depend on ``xi_sk``, so its 600-point parametric
+sweep is solved once per process, on the first :func:`emit_curves` call, and
+shared by every later call.  Weak and sec-upper roots are solved on every call.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ SQRT_2 = math.sqrt(2.0)
 SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
 _SCAN_POINTS = 400
+_ROOT_WIDTH_TOL = 1e-10  # bisection width; the 1e-9 residual check pins a root
 _BRACKET_MARGIN = 1e-6
 _SWEEP_POINTS = 600
 
@@ -99,16 +99,25 @@ def weak_residual(alpha: float, beta: float) -> float:
     return (1.0 - beta) * SQRT_2_PI * math.exp(-q * q) / alpha - SQRT_2 * q
 
 
+def _check_xi_sk(xi_sk: float) -> None:
+    if not (math.isfinite(xi_sk) and xi_sk >= 0.0):
+        raise DomainError(f"xi_sk must be finite and >= 0, got {xi_sk!r}")
+
+
 def mg_ratio_closed_form(alpha: float, beta: float, xi_sk: float) -> float:
     """Inflated denominator of the sectional upper bound (closed form)."""
-    return alpha - beta + beta * (1.0 + xi_sk * math.sqrt(beta / (1.0 - alpha))) ** 2
+    try:
+        return alpha - beta + beta * (1.0 + xi_sk * math.sqrt(beta / (1.0 - alpha))) ** 2
+    except OverflowError as exc:
+        raise NumericalError(
+            f"sectional upper-bound denominator overflows at xi_sk={xi_sk!r}"
+        ) from exc
 
 
 def sec_upper_residual(alpha: float, beta: float, xi_sk: float = XI_SK_DEFAULT) -> float:
     """Weak residual with alpha replaced by the inflated denominator."""
     _check_open_region(alpha, beta)
-    if xi_sk < 0.0:
-        raise DomainError(f"xi_sk must be >= 0, got {xi_sk!r}")
+    _check_xi_sk(xi_sk)
     q = erfinv((1.0 - alpha) / (1.0 - beta))
     denom = mg_ratio_closed_form(alpha, beta, xi_sk)
     return (1.0 - beta) * SQRT_2_PI * math.exp(-q * q) / denom - SQRT_2 * q
@@ -181,26 +190,24 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
     return root
 
 
-def _beta_root(residual: Callable[[float], float], alpha: float, tol: float) -> float:
+def _beta_root(residual: Callable[[float], float], alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     lo, hi = 1e-6, alpha - _BRACKET_MARGIN
     if hi <= lo:
         raise DomainError(f"alpha={alpha!r} leaves no beta bracket")
     a, b, fa, fb = _scan_bracket(residual, lo, hi)
-    return _bisect(residual, a, b, fa, fb, width_tol=tol, resid_tol=1e-9)
+    return _bisect(residual, a, b, fa, fb, width_tol=_ROOT_WIDTH_TOL, resid_tol=1e-9)
 
 
-def weak_beta(alpha: float, tol: float = 1e-10) -> float:
+def weak_beta(alpha: float) -> float:
     """Root in beta of the weak-threshold equation at the given alpha."""
-    return _beta_root(lambda b: weak_residual(alpha, b), alpha, tol)
+    return _beta_root(lambda b: weak_residual(alpha, b), alpha)
 
 
-def sec_upper_beta(alpha: float, xi_sk: float = XI_SK_DEFAULT, tol: float = 1e-10) -> float:
+def sec_upper_beta(alpha: float, xi_sk: float = XI_SK_DEFAULT) -> float:
     """Root in beta of the sectional upper-bound equation at the given alpha."""
-    return _beta_root(lambda b: sec_upper_residual(alpha, b, xi_sk), alpha, tol)
+    return _beta_root(lambda b: sec_upper_residual(alpha, b, xi_sk), alpha)
 
 
 def sec_lower_solve(beta: float) -> SectionalLowerSolve:
@@ -265,8 +272,7 @@ def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
     return ys[j - 1] + t * (ys[j] - ys[j - 1])
 
 
-def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT,
-                tol: float = 1e-10) -> CurveSet:
+def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT) -> CurveSet:
     """Sample all three curves on an alpha grid.
 
     Weak and sectional-upper points come from direct root solves at each
@@ -274,6 +280,7 @@ def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT,
     once per process and interpolated onto the grid.  Emitted points are
     checked against the ordering invariant sec-lower <= sec-upper <= weak.
     """
+    _check_xi_sk(xi_sk)
     grid = [float(a) for a in alphas]
     for a in grid:
         if not (0.02 < a < 0.98):
@@ -284,8 +291,8 @@ def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT,
     sweep_alpha, sweep_beta = _sec_lower_sweep()
     for a in grid:
         try:
-            bw = weak_beta(a, tol)
-            bu = sec_upper_beta(a, xi_sk, tol)
+            bw = weak_beta(a)
+            bu = sec_upper_beta(a, xi_sk)
             bl = _interp(a, sweep_alpha, sweep_beta)
         except NumericalError as exc:
             raise NumericalError(f"curve solve failed at alpha={a!r}: {exc}") from exc

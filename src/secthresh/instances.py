@@ -24,6 +24,14 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_N = 10_000
 
 
+def _check_dimensions(n: int, m: int) -> None:
+    """The dimension rule for an m x n instance: 0 < m < n <= MAX_N."""
+    if n > MAX_N:
+        raise DomainError(f"need n <= {MAX_N}, got n={n}")
+    if not (0 < m < n):
+        raise DomainError(f"need 0 < m < n, got m={m} n={n}")
+
+
 @dataclass(frozen=True)
 class ProblemShape:
     """Instance dimensions n (ambient), m (measurements), k (support block)."""
@@ -33,10 +41,7 @@ class ProblemShape:
     k: int
 
     def __post_init__(self):
-        if self.n > MAX_N:
-            raise DomainError(f"need n <= {MAX_N}, got n={self.n}")
-        if not (0 < self.m < self.n):
-            raise DomainError(f"need 0 < m < n, got m={self.m} n={self.n}")
+        _check_dimensions(self.n, self.m)
         if not (0 <= self.k <= self.n):
             raise DomainError(f"need 0 <= k <= n, got k={self.k}")
 
@@ -67,7 +72,6 @@ class NullProjector:
     matrix.
     """
 
-    shape: ProblemShape
     Dperp: np.ndarray
     rowspace: np.ndarray
     A: np.ndarray
@@ -123,21 +127,27 @@ def sample_gaussian_matrix(shape: ProblemShape, seed: int) -> GaussianInstance:
     return GaussianInstance(shape=shape, seed=seed, A=A)
 
 
-def null_projector(instance: GaussianInstance) -> NullProjector:
-    """Factor the instance into row-space and null-space orthonormal bases.
+def null_projector(A: np.ndarray) -> NullProjector:
+    """Factor an m x n matrix into row-space and null-space orthonormal bases.
 
     Raises
     ------
+    DomainError
+        If A is not 2-D or its shape breaks 0 < m < n <= MAX_N.
     NumericalError
         If A has a non-finite entry, if the SVD does not converge, or if A is
         (numerically) rank deficient: smallest singular value below 1e-8
         times the largest.
     """
-    m = instance.shape.m
-    if not np.isfinite(instance.A).all():
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise DomainError(f"matrix must be 2-D, got ndim={A.ndim}")
+    m, n = A.shape
+    _check_dimensions(n, m)
+    if not np.isfinite(A).all():
         raise NumericalError("matrix has a non-finite entry")
     try:
-        _, s, vh = np.linalg.svd(instance.A, full_matrices=True)
+        _, s, vh = np.linalg.svd(A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     if s[-1] <= 1e-8 * s[0]:
@@ -149,17 +159,7 @@ def null_projector(instance: GaussianInstance) -> NullProjector:
     rowspace = vh[:m]
     Dperp.setflags(write=False)
     rowspace.setflags(write=False)
-    return NullProjector(shape=instance.shape, Dperp=Dperp, rowspace=rowspace, A=instance.A)
-
-
-def null_projector_from_matrix(A: np.ndarray, k: int, seed: int = 0) -> NullProjector:
-    """Convenience wrapper: build the projector for an externally supplied matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise DomainError(f"matrix must be 2-D, got ndim={A.ndim}")
-    m, n = A.shape
-    shape = ProblemShape(n=n, m=m, k=k)
-    return null_projector(GaussianInstance(shape=shape, seed=seed, A=A))
+    return NullProjector(Dperp=Dperp, rowspace=rowspace, A=A)
 
 
 def derive_rep_seed(base_seed: int, rep_index: int) -> int:

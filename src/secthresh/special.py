@@ -1,6 +1,6 @@
-"""Scalar special functions underpinning the threshold equations.
+"""The inverse error function underpinning the threshold equations.
 
-The forward error function wraps the C library implementation (accurate to
+The forward error function is the C library's ``math.erf`` (accurate to
 < 1 ulp).  The inverse is built locally: a rational approximation of the
 normal quantile seeds two Newton corrections on erf itself, which pins the
 relative error well below 1e-12 everywhere the curve solvers can reach
@@ -15,20 +15,6 @@ from .errors import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2 = math.sqrt(2.0)
-
-
-def erf(x: float) -> float:
-    """Error function (2/sqrt(pi)) * integral_0^x exp(-t^2) dt."""
-    if not math.isfinite(x):
-        raise DomainError(f"erf requires finite input, got {x!r}")
-    return math.erf(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate in the far tail."""
-    if not math.isfinite(x):
-        raise DomainError(f"erfc requires finite input, got {x!r}")
-    return math.erfc(x)
 
 
 # Rational approximation of the standard normal quantile (Acklam's

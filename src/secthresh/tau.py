@@ -78,6 +78,12 @@ def positivity_threshold(n: int) -> float:
     return 1e-6 * np.sqrt(n)
 
 
+def _check_block(k: int, n: int) -> None:
+    """A tail block needs at least one coordinate and leaves a head."""
+    if not (1 <= k < n):
+        raise DomainError(f"need 1 <= k < n={n}, got k={k}")
+
+
 @dataclass(frozen=True)
 class DualSolve:
     """Result of one box-slice-to-row-space distance computation.
@@ -222,7 +228,7 @@ def dual_distance(P: NullProjector, k: int, b,
     P : NullProjector
         Factorization of the instance.
     k : int
-        Tail block length, 0 <= k < n.
+        Tail block length, 1 <= k < n.
     b : array-like
         Sign pattern of length k (entries +-1).
     x0 : ndarray, optional
@@ -238,9 +244,8 @@ def dual_distance(P: NullProjector, k: int, b,
         With z_star feasible (head clipped to the box, tail pinned at -b) and
         distance recomputed as ||Dperp z_star|| at return.
     """
-    n = P.shape.n
-    if not (0 <= k < n):
-        raise DomainError(f"need 0 <= k < n={n}, got k={k}")
+    n = P.Dperp.shape[1]
+    _check_block(k, n)
     b = as_sign_pattern(b, k)
     if stop_below is not None and not stop_below >= 0.0:
         raise DomainError(f"stop_below must be nonnegative, got {stop_below}")
@@ -265,7 +270,7 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
     The residual check fails closed: an ||A||_F that overflows to inf or
     underflows to 0, or a non-finite ||A w||, proves nothing and raises.
     """
-    n = P.shape.n
+    n = P.Dperp.shape[1]
     threshold = positivity_threshold(n)
     if not solve.converged:
         raise UsageError("certificate extraction requires a converged solve")
@@ -346,7 +351,7 @@ def _tail_margin_gram(P: NullProjector, k: int) -> np.ndarray:
     columns of A) no row-space point pins every tail pattern, and G is zero:
     every pattern has the same margin, so the margin carries no search signal.
     """
-    n = P.shape.n
+    n = P.Dperp.shape[1]
     u, s, _ = np.linalg.svd(P.rowspace[:, n - k:].T, full_matrices=False)
     if s.shape[0] < k or s[-1] <= 1e-10:
         return np.zeros((k, k))
@@ -372,11 +377,8 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
     proves the distance is at most the threshold, so the flip could neither
     be kept nor certified.  Every other solve runs to its fixed point.
     """
-    if k < 1:
-        raise UsageError(f"bit-flip search needs k >= 1, got k={k}")
-    n = P.shape.n
-    if k >= n:
-        raise DomainError(f"need k < n={n}, got k={k}")
+    n = P.Dperp.shape[1]
+    _check_block(k, n)
     threshold = positivity_threshold(n)
     unconverged = 0
 
@@ -447,13 +449,10 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
 def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
     """Full pipeline for one instance: factor, search, verify.
 
-    k = 0 short-circuits to NotCertified (no sign pattern exists, and the
-    functional is identically nonnegative there).
+    Raises DomainError unless 1 <= k < n, before anything is factored.
     """
-    if k == 0:
-        return TauOutcome(verdict=Verdict.NotCertified, best_b=np.zeros(0),
-                          best_distance=0.0, certificate=None, flips_evaluated=0)
-    P = null_projector(instance)
+    _check_block(k, instance.shape.n)
+    P = null_projector(instance.A)
     outcome = bit_flip_search(P, k)
     if outcome.verdict is Verdict.CertifiedFailure:
         report = verify_theorem2_construction(instance.A, k, outcome.certificate)

@@ -136,8 +136,6 @@ def oracle_box_distance(Dperp, k, b):
     Dperp = np.asarray(Dperp, dtype=float)
     n = Dperp.shape[1]
     b = np.asarray(b, dtype=float)
-    if k == 0:
-        return 0.0
     M = Dperp[:, : n - k]
     c = Dperp[:, n - k:] @ b
     if M.shape[1] == 0:
@@ -194,16 +192,16 @@ def primal_tau_batch(cases):
     """
     cases = list(cases)
     rows = max(P.Dperp.shape[0] for P, _, _ in cases)
-    cols = max(P.shape.n for P, _, _ in cases)
+    cols = max(P.Dperp.shape[1] for P, _, _ in cases)
     D = np.zeros((len(cases), rows, cols))
     head = np.ones((len(cases), cols, 1))
     signs = np.zeros((len(cases), cols, 1))  # b on the tail, 0 elsewhere
     for i, (P, k, b) in enumerate(cases):
-        n = P.shape.n
+        n = P.Dperp.shape[1]
         if n > PRIMAL_SIZE_CAP:
             raise UsageError(f"primal reference capped at n <= {PRIMAL_SIZE_CAP}, got n={n}")
-        if not (0 <= k < n):
-            raise DomainError(f"need 0 <= k < n={n}, got k={k}")
+        if not (1 <= k < n):
+            raise DomainError(f"need 1 <= k < n={n}, got k={k}")
         D[i, :P.Dperp.shape[0], :n] = P.Dperp
         head[i, n - k:n] = 0.0
         signs[i, n - k:n, 0] = as_sign_pattern(b, k)

@@ -14,8 +14,8 @@ import pytest
 
 from secthresh import (CellSpec, CurveKind, Verdict,
                        dual_distance, emit_curves,
-                       erf, erfinv, estimate_failure, extract_certificate,
-                       null_projector, null_projector_from_matrix,
+                       erfinv, estimate_failure, extract_certificate,
+                       null_projector,
                        bit_flip_search, run_suite,
                        sample_gaussian_matrix, sec_upper_beta,
                        verify_theorem2_construction, weak_beta, ProblemShape)
@@ -66,14 +66,14 @@ def test_02_curve_ordering_on_grid():
 
 
 def test_03_hand_instances():
-    P = null_projector_from_matrix(np.array([[2.0, 1.0]]), k=1)
+    P = null_projector(np.array([[2.0, 1.0]]))
     solve = dual_distance(P, 1, [1.0])
     assert abs(solve.distance - 1.0 / math.sqrt(5.0)) <= 1e-9
     cert = extract_certificate(P, 1, solve)
     assert abs(cert.gap - 0.2) <= 1e-6
     assert verify_theorem2_construction(np.array([[2.0, 1.0]]), 1, cert).passed
 
-    P2 = null_projector_from_matrix(np.array([[1.0, 1.0]]), k=1)
+    P2 = null_projector(np.array([[1.0, 1.0]]))
     solve2 = dual_distance(P2, 1, [1.0])
     assert solve2.distance <= 1e-8
     out = bit_flip_search(P2, 1)
@@ -92,7 +92,7 @@ def test_04_primal_dual_coherence():
         k = int(rng.integers(1, m))
         inst = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
                                       int(rng.integers(0, 2**32)))
-        P = null_projector(inst)
+        P = null_projector(inst.A)
         b = rng.choice([-1.0, 1.0], size=k)
         duals.append(dual_distance(P, k, b).distance)
         cases.append((P, k, b))
@@ -121,7 +121,7 @@ def test_05_exhaustive_oracle_agreement():
         k = int(rng.integers(1, min(11, m)))
         inst = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
                                       int(rng.integers(0, 2**32)))
-        P = null_projector(inst)
+        P = null_projector(inst.A)
         threshold = positivity_threshold(n)
         searched = bit_flip_search(P, k).verdict is Verdict.CertifiedFailure
         enumerated = oracle_enumerate(P.Dperp, k)[0] > threshold
@@ -213,7 +213,7 @@ def test_08_monotone_transition_brackets_theory(transition_column):
 class TestCriterion9StructuralInvariants:
     def test_projector_invariants(self):
         inst = sample_gaussian_matrix(ProblemShape(n=50, m=20, k=5), 314159)
-        P = null_projector(inst)
+        P = null_projector(inst.A)
         assert np.max(np.abs(P.Dperp @ inst.A.T)) <= 1e-10 * np.linalg.norm(inst.A)
         assert np.max(np.abs(P.Dperp @ P.Dperp.T - np.eye(30))) <= 1e-10
         Q = P.Dperp.T @ P.Dperp
@@ -232,7 +232,7 @@ class TestCriterion9StructuralInvariants:
 
     def test_erf_roundtrip(self):
         for x in np.linspace(-3.5, 3.5, 141):
-            assert abs(erfinv(erf(float(x))) - x) <= 1e-10
+            assert abs(erfinv(math.erf(float(x))) - x) <= 1e-10
 
     def test_certificate_soundness(self):
         # Every certificate produced across a deterministic seed sweep must

@@ -9,6 +9,7 @@ import pytest
 
 import secthresh.cli as cli
 import secthresh.harness as harness
+import secthresh.tau as tau
 from secthresh import DomainError
 from secthresh.cli import main
 from secthresh.harness import MAX_REPS
@@ -29,7 +30,7 @@ def drop_timing(csv_text):
 def nothing_runs(monkeypatch):
     """Fail a test that samples an instance, runs a rep or starts a search."""
     def unreachable(*args, **kwargs):
-        raise AssertionError("an oversized shape got past validation")
+        raise AssertionError("the input got past validation")
 
     monkeypatch.setattr(cli, "sample_gaussian_matrix", unreachable)
     monkeypatch.setattr(cli, "estimate_failure", unreachable)
@@ -126,6 +127,15 @@ class TestCurvesCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "1decebd191fab13ef02432571635d321f1ca4c972cdc4bdadfce60bccb1af87a")
         capsys.readouterr()
+
+    @pytest.mark.parametrize("xi, code", [("nan", 2), ("inf", 2), ("-1", 2), ("1e155", 3)])
+    def test_xi_sk_outside_domain(self, tmp_path, capsys, xi, code):
+        out = tmp_path / "c.csv"
+        assert run_cli("curves", "--grid", "0.5:0.5:0.1", "--xi-sk", xi,
+                       "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and "xi_sk" in err
+        assert not out.exists()
 
     def test_svg_written(self, tmp_path, capsys):
         out, svg = tmp_path / "c.csv", tmp_path / "c.svg"
@@ -293,10 +303,28 @@ class TestUnwritableOutput:
                        "--workers", "1", "--out", str(out)) == 2
         self.assert_one_line(capsys, out)
 
-    def test_tau_certificate_missing_directory(self, tmp_path, capsys):
+    def test_curves_bad_svg_writes_no_csv(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the curves were solved before the paths were checked")
+
+        monkeypatch.setattr(cli, "emit_curves", unreachable)
+        out, svg = tmp_path / "c.csv", tmp_path / "missing" / "c.svg"
+        assert run_cli("curves", "--grid", "0.5:0.5:0.1", "--out", str(out),
+                       "--svg", str(svg)) == 2
+        self.assert_one_line(capsys, svg)
+        assert not out.exists()
+
+    def test_tau_certificate_missing_directory(self, tmp_path, capsys, nothing_runs):
         cert = tmp_path / "missing" / "c.json"
-        # This seed certifies, so the certificate is written.
         assert run_cli("tau", "--n", "30", "--m", "24", "--k", "12", "--seed", "0",
+                       "--emit-certificate", str(cert)) == 2
+        self.assert_one_line(capsys, cert)
+
+    def test_certify_certificate_missing_directory(self, tmp_path, capsys, nothing_runs):
+        mat = tmp_path / "m.csv"
+        mat.write_text("2,1\n")
+        cert = tmp_path / "missing" / "c.json"
+        assert run_cli("certify", "--matrix", str(mat), "--k", "1",
                        "--emit-certificate", str(cert)) == 2
         self.assert_one_line(capsys, cert)
 
@@ -332,6 +360,18 @@ class TestCertifyCommand:
         mat.write_text("1,2\n3,4\n")
         assert run_cli("certify", "--matrix", str(mat), "--k", "1") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("k", ["-1", "0", "3"])
+    def test_k_outside_block_range_rejected(self, tmp_path, capsys, monkeypatch, k):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the matrix was factored")
+
+        monkeypatch.setattr(tau, "null_projector", unreachable)
+        mat = tmp_path / "m.csv"
+        mat.write_text("1,2,3\n")
+        assert run_cli("certify", "--matrix", str(mat), "--k", k) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and "k" in err
 
     def test_rank_deficient(self, tmp_path, capsys):
         mat = tmp_path / "m.csv"

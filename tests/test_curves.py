@@ -182,7 +182,7 @@ class TestSecLowerSweepCache:
         first = emit_curves(self.GRID, xi_sk=0.3)
         second = emit_curves(self.GRID, xi_sk=XI_SK_DEFAULT)
         assert len(calls) == 600
-        emit_curves(self.GRID, tol=1e-8)
+        emit_curves(self.GRID, xi_sk=0.0)
         assert len(calls) == 600
         lower = [[p.beta for p in c.by_kind(CurveKind.SectionalLower)]
                  for c in (first, second)]

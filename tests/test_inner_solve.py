@@ -19,11 +19,11 @@ from oracles import box_lsq_reference
 from secthresh import (DomainError, ProblemShape, UsageError, bit_flip_search,
                        builtin_suite, derive_rep_seed, dual_distance,
                        estimate_failure, extract_certificate, null_projector,
-                       null_projector_from_matrix, sample_gaussian_matrix)
+                       sample_gaussian_matrix)
 
 
 def _projector(n, m, k, seed):
-    return null_projector(sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed))
+    return null_projector(sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed).A)
 
 
 def _search_solves(monkeypatch, P, k):
@@ -147,7 +147,7 @@ class TestEarlyStop:
             assert again.iterations == full.iterations
 
     def test_extraction_refuses_stopped_solve(self):
-        P = null_projector_from_matrix(np.array([[2.0, 1.0]]), k=1)
+        P = null_projector(np.array([[2.0, 1.0]]))
         solve = dual_distance(P, 1, [1.0], stop_below=1.0)
         assert solve.stopped_below and solve.distance > tau.positivity_threshold(2)
         with pytest.raises(UsageError):
@@ -155,7 +155,7 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("bound", [-1e-6, math.nan])
     def test_bad_bound_rejected(self, bound):
-        P = null_projector_from_matrix(np.array([[2.0, 1.0]]), k=1)
+        P = null_projector(np.array([[2.0, 1.0]]))
         with pytest.raises(DomainError):
             dual_distance(P, 1, [1.0], stop_below=bound)
 

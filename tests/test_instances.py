@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from secthresh import (DomainError, NumericalError, ProblemShape,
-                       derive_rep_seed, null_projector,
-                       null_projector_from_matrix, sample_gaussian_matrix)
+                       derive_rep_seed, null_projector, sample_gaussian_matrix)
 from secthresh.instances import MAX_N
 
 
@@ -68,13 +67,13 @@ class TestSampleGaussianMatrix:
 
 class TestNullProjector:
     def test_coordinate_null_space(self):
-        P = null_projector_from_matrix(np.array([[1.0, 0.0, 0.0],
-                                                 [0.0, 1.0, 0.0]]), k=1)
+        P = null_projector(np.array([[1.0, 0.0, 0.0],
+                                                 [0.0, 1.0, 0.0]]))
         row = P.Dperp[0]
         np.testing.assert_allclose(np.abs(row), [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_hand_null_space(self):
-        P = null_projector_from_matrix(np.array([[2.0, 1.0]]), k=1)
+        P = null_projector(np.array([[2.0, 1.0]]))
         row = P.Dperp[0]
         want = np.array([1.0, -2.0]) / np.sqrt(5.0)
         if row[0] < 0:
@@ -84,7 +83,7 @@ class TestNullProjector:
     def test_invariants_random_instance(self):
         shape = ProblemShape(n=8, m=4, k=2)
         inst = sample_gaussian_matrix(shape, 77)
-        P = null_projector(inst)
+        P = null_projector(inst.A)
         A = inst.A
         fro = np.linalg.norm(A)
         assert np.max(np.abs(P.Dperp @ A.T)) <= 1e-10 * fro
@@ -95,7 +94,7 @@ class TestNullProjector:
 
     def test_projector_spectrum(self):
         shape = ProblemShape(n=20, m=7, k=3)
-        P = null_projector(sample_gaussian_matrix(shape, 5))
+        P = null_projector(sample_gaussian_matrix(shape, 5).A)
         Q = P.Dperp.T @ P.Dperp
         eig = np.sort(np.linalg.eigvalsh(Q))
         np.testing.assert_allclose(eig[:7], 0.0, atol=1e-8)
@@ -104,14 +103,26 @@ class TestNullProjector:
     def test_rank_deficiency_detected(self):
         A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
         with pytest.raises(NumericalError):
-            null_projector_from_matrix(A, k=1)
+            null_projector(A)
+
+    @pytest.mark.parametrize("A, message", [
+        (np.ones(5), "must be 2-D"),
+        (np.ones((1, 2, 3)), "must be 2-D"),
+        (np.eye(3), "0 < m < n"),
+        (np.ones((4, 2)), "0 < m < n"),
+        (np.ones((0, 5)), "0 < m < n"),
+        (np.ones((1, MAX_N + 1)), f"n <= {MAX_N}"),
+    ])
+    def test_shape_rejected(self, A, message):
+        with pytest.raises(DomainError, match=message):
+            null_projector(A)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_is_numerical_error(self, bad):
         A = np.random.default_rng(3).standard_normal((5, 12))
         A[2, 7] = bad
         with pytest.raises(NumericalError):
-            null_projector_from_matrix(A, k=2)
+            null_projector(A)
 
 
 class TestDeriveRepSeed:

@@ -10,26 +10,26 @@ from secthresh import (CertificateError, DomainError,
                        TauOutcome, UsageError,
                        Verdict, bit_flip_search, dual_distance,
                        estimate_failure, extract_certificate,
-                       null_projector, null_projector_from_matrix,
+                       null_projector,
                        sample_gaussian_matrix, verify_theorem2_construction)
 
 from oracles import oracle_box_distance, primal_tau_batch, primal_tau_reference
 
 
 def _hand_projector():
-    return null_projector_from_matrix(np.array([[2.0, 1.0]]), k=1)
+    return null_projector(np.array([[2.0, 1.0]]))
 
 
 def _balanced_projector():
-    return null_projector_from_matrix(np.array([[1.0, 1.0]]), k=1)
+    return null_projector(np.array([[1.0, 1.0]]))
 
 
 class TestDualDistance:
-    def test_k_zero_is_origin(self):
-        shape = ProblemShape(n=12, m=5, k=0)
-        P = null_projector(sample_gaussian_matrix(shape, 3))
-        solve = dual_distance(P, 0, np.zeros(0))
-        assert solve.distance <= 1e-12
+    @pytest.mark.parametrize("k", [-1, 0, 12])
+    def test_k_outside_block_range_rejected(self, k):
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=12, m=5, k=1), 3).A)
+        with pytest.raises(DomainError, match="need 1 <= k < n=12"):
+            dual_distance(P, k, np.ones(max(k, 0)))
 
     def test_hand_instance(self):
         solve = dual_distance(_hand_projector(), 1, [1.0])
@@ -50,7 +50,7 @@ class TestDualDistance:
             k = int(rng.integers(1, min(9, m + 1)))
             P = null_projector(
                 sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
-                                       int(rng.integers(0, 2**32))))
+                                       int(rng.integers(0, 2**32))).A)
             b = rng.choice([-1.0, 1.0], size=k)
             solve = dual_distance(P, k, b)
             exact = oracle_box_distance(P.Dperp, k, b)
@@ -60,7 +60,7 @@ class TestDualDistance:
         # Any orthonormal basis of the same null space gives the same
         # distance: rotate the rows and re-solve.
         shape = ProblemShape(n=18, m=7, k=4)
-        P = null_projector(sample_gaussian_matrix(shape, 9))
+        P = null_projector(sample_gaussian_matrix(shape, 9).A)
         rng = np.random.default_rng(1)
         rot, _ = np.linalg.qr(rng.standard_normal((11, 11)))
         P2 = dataclasses.replace(P, Dperp=rot @ P.Dperp)
@@ -71,7 +71,7 @@ class TestDualDistance:
 
     def test_solve_keeps_its_pattern(self):
         # The search flips its pattern in place; a solve keeps its own copy.
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=40, m=30, k=25), 0))
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=40, m=30, k=25), 0).A)
         b = np.ones(25)
         solve = dual_distance(P, 25, b)
         b[0] = -1.0
@@ -83,11 +83,6 @@ class TestDualDistance:
 
 
 class TestPrimalReference:
-    def test_k_zero(self):
-        shape = ProblemShape(n=10, m=4, k=0)
-        P = null_projector(sample_gaussian_matrix(shape, 8))
-        assert primal_tau_reference(P, 0, np.zeros(0)) == 0.0
-
     def test_hand_instance(self):
         value = primal_tau_reference(_hand_projector(), 1, [1.0])
         assert abs(value + 1.0 / math.sqrt(5.0)) <= 5e-3
@@ -101,13 +96,13 @@ class TestPrimalReference:
             k = int(rng.integers(1, m + 1))
             P = null_projector(
                 sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
-                                       int(rng.integers(0, 2**32))))
+                                       int(rng.integers(0, 2**32))).A)
             cases.append((P, k, rng.choice([-1.0, 1.0], size=k)))
         assert np.all(primal_tau_batch(cases) <= 0.0)
 
     def test_size_cap(self):
         shape = ProblemShape(n=61, m=10, k=2)
-        P = null_projector(sample_gaussian_matrix(shape, 0))
+        P = null_projector(sample_gaussian_matrix(shape, 0).A)
         with pytest.raises(UsageError):
             primal_tau_reference(P, 2, [1.0, 1.0])
 
@@ -131,7 +126,7 @@ class TestCertificates:
             k = int(rng.integers(1, m + 1))
             P = null_projector(
                 sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
-                                       int(rng.integers(0, 2**32))))
+                                       int(rng.integers(0, 2**32))).A)
             b = rng.choice([-1.0, 1.0], size=k)
             solve = dual_distance(P, k, b)
             if not solve.converged:
@@ -168,7 +163,7 @@ class TestChecksFailClosed:
     residual checks compare non-finite or vacuous numbers and must fail."""
 
     def test_extraction_refuses(self, scale):
-        P = null_projector_from_matrix(np.array([[2.0, 1.0]]) * scale, k=1)
+        P = null_projector(np.array([[2.0, 1.0]]) * scale)
         solve = dual_distance(P, 1, [1.0])
         with pytest.raises(CertificateError):
             extract_certificate(P, 1, solve)
@@ -200,19 +195,19 @@ class TestBitFlipSearch:
 
     def test_flip_budget(self):
         shape = ProblemShape(n=40, m=8, k=5)
-        P = null_projector(sample_gaussian_matrix(shape, 13))
+        P = null_projector(sample_gaussian_matrix(shape, 13).A)
         out = bit_flip_search(P, 5)
         assert out.flips_evaluated <= tau.MAX_PASSES * 5
 
     def test_k_zero_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError):
             bit_flip_search(_hand_projector(), 0)
 
     def test_improves_on_start(self):
         # Whatever the verdict, the reported distance can not be worse than
         # the all-ones starting pattern.
         shape = ProblemShape(n=30, m=18, k=9)
-        P = null_projector(sample_gaussian_matrix(shape, 4))
+        P = null_projector(sample_gaussian_matrix(shape, 4).A)
         start = dual_distance(P, 9, np.ones(9)).distance
         out = bit_flip_search(P, 9)
         assert out.best_distance >= start - 1e-9
@@ -224,7 +219,7 @@ class TestTailMarginGram:
     def test_matches_minimum_norm_lstsq(self, n, m, k, seed):
         # The margin is the head energy of the row-space point D c whose tail
         # is -b, with c the minimum-norm solution of D_t c = -b.
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed))
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed).A)
         D = P.rowspace.T
         G = tau._tail_margin_gram(P, k)
         rng = np.random.default_rng(seed)
@@ -236,22 +231,26 @@ class TestTailMarginGram:
 
     def test_rank_deficient_tail_is_zero(self):
         # More tail coordinates than measurements.
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=30, m=10, k=15), 5))
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=30, m=10, k=15), 5).A)
         G = tau._tail_margin_gram(P, 15)
         assert G.shape == (15, 15) and not G.any()
         # Two equal tail columns of A.
         A = np.random.default_rng(6).standard_normal((10, 30))
         A[:, -1] = A[:, -2]
-        G = tau._tail_margin_gram(null_projector_from_matrix(A, k=5), 5)
+        G = tau._tail_margin_gram(null_projector(A), 5)
         assert G.shape == (5, 5) and not G.any()
 
 
 class TestEstimateFailure:
-    def test_k_zero_short_circuit(self):
-        inst = sample_gaussian_matrix(ProblemShape(n=12, m=5, k=0), 1)
-        out = estimate_failure(inst, 0)
-        assert out.verdict is Verdict.NotCertified
-        assert out.flips_evaluated == 0
+    @pytest.mark.parametrize("k", [-1, 0, 12])
+    def test_k_outside_block_range_rejected_before_factoring(self, k, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the instance was factored")
+
+        monkeypatch.setattr(tau, "null_projector", unreachable)
+        inst = sample_gaussian_matrix(ProblemShape(n=12, m=5, k=1), 1)
+        with pytest.raises(DomainError, match="need 1 <= k < n=12"):
+            estimate_failure(inst, k)
 
     def test_deep_failure_cell(self):
         inst = sample_gaussian_matrix(ProblemShape(n=200, m=180, k=74), 1)
@@ -279,7 +278,7 @@ class TestOptionsAndOutcome:
         # The settings are read at call time.  At the default cap this search
         # evaluates 9 flips, more than 2 * k.
         k = 4
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=24, m=12, k=k), 8))
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=24, m=12, k=k), 8).A)
         assert bit_flip_search(P, k).flips_evaluated > 2 * k
         monkeypatch.setattr(tau, "MAX_PASSES", 2)
         assert bit_flip_search(P, k).flips_evaluated <= 2 * k
