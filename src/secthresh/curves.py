@@ -17,9 +17,16 @@ Three curves in the (alpha, beta) = (m/n, k/n) plane are computed:
                   Sherrington-Kirkpatrick bilinear form (default 0.7632).
 
 All roots are located by a linear sign-change scan (400 points) followed by
-bisection, and every returned root re-checks its own residual.  The scan
-refuses to proceed if it sees more than one sign change, so an unexpected
-multi-root geometry fails loudly instead of returning garbage.
+bisection, and every returned root is certified by the residual held at it.
+The scan refuses to proceed if it sees more than one sign change, so an
+unexpected multi-root geometry fails loudly instead of returning garbage.
+
+The domain checks run once per root, not once per point: ``weak_beta`` and
+``sec_upper_beta`` check alpha and ``xi_sk`` before the scan, and every scan
+and bisection point lies in ``[1e-6, alpha - 1e-6]`` by construction, so the
+solvers evaluate unchecked residuals.  The public ``weak_residual`` and
+``sec_upper_residual`` keep their checks.  A root costs about 425 residual
+evaluations, each one ``erfinv`` call, looked up in this module.
 
 The sec-lower curve does not depend on ``xi_sk``, so its 600-point parametric
 sweep is solved once per process, on the first :func:`emit_curves` call, and
@@ -95,6 +102,11 @@ def weak_residual(alpha: float, beta: float) -> float:
     the threshold itself is the root in beta.
     """
     _check_open_region(alpha, beta)
+    return _weak_residual(alpha, beta)
+
+
+def _weak_residual(alpha: float, beta: float) -> float:
+    # Unchecked: callers guarantee 0 < beta < alpha < 1.
     q = erfinv((1.0 - alpha) / (1.0 - beta))
     return (1.0 - beta) * SQRT_2_PI * math.exp(-q * q) / alpha - SQRT_2 * q
 
@@ -118,6 +130,11 @@ def sec_upper_residual(alpha: float, beta: float, xi_sk: float = XI_SK_DEFAULT) 
     """Weak residual with alpha replaced by the inflated denominator."""
     _check_open_region(alpha, beta)
     _check_xi_sk(xi_sk)
+    return _sec_upper_residual(alpha, beta, xi_sk)
+
+
+def _sec_upper_residual(alpha: float, beta: float, xi_sk: float) -> float:
+    # Unchecked: callers guarantee 0 < beta < alpha < 1 and a finite xi_sk >= 0.
     q = erfinv((1.0 - alpha) / (1.0 - beta))
     denom = mg_ratio_closed_form(alpha, beta, xi_sk)
     return (1.0 - beta) * SQRT_2_PI * math.exp(-q * q) / denom - SQRT_2 * q
@@ -142,31 +159,37 @@ def _sec_lower_alpha_bound(theta: float, beta: float) -> float:
 
 def _scan_bracket(f: Callable[[float], float], lo: float,
                   hi: float) -> tuple[float, float, float, float]:
-    """Locate exactly one sign change of f on [lo, hi] by a linear scan."""
-    xs = [lo + (hi - lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
-    vals = [f(x) for x in xs]
-    brackets = []
-    for i in range(_SCAN_POINTS - 1):
-        if vals[i] == 0.0:
-            brackets.append((xs[i], xs[i], vals[i], vals[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            brackets.append((xs[i], xs[i + 1], vals[i], vals[i + 1]))
-    if vals[-1] == 0.0:
-        brackets.append((xs[-1], xs[-1], vals[-1], vals[-1]))
-    if not brackets:
+    """Locate exactly one sign change of f on [lo, hi] by a linear scan.
+
+    A scan point where f is exactly zero counts as a sign change of its own.
+    """
+    width = hi - lo
+    xs = [lo + width * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS)]
+    vals = list(map(f, xs))
+    changes = [i for i, (u, v) in enumerate(zip(vals, vals[1:])) if u * v < 0.0]
+    zeros = vals.count(0.0)
+    if not changes and not zeros:
         raise NumericalError(
             f"no sign change on [{lo:.6g}, {hi:.6g}] over {_SCAN_POINTS} scan points"
         )
-    if len(brackets) > 1:
+    if len(changes) + zeros > 1:
         raise NumericalError(
-            f"{len(brackets)} sign changes on [{lo:.6g}, {hi:.6g}]; refusing to pick one"
+            f"{len(changes) + zeros} sign changes on [{lo:.6g}, {hi:.6g}]; refusing to pick one"
         )
-    return brackets[0]
+    if zeros:
+        i = vals.index(0.0)
+        return xs[i], xs[i], vals[i], vals[i]
+    i = changes[0]
+    return xs[i], xs[i + 1], vals[i], vals[i + 1]
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float,
-            flo: float, fhi: float, width_tol: float, resid_tol: float) -> float:
-    """Bisection to bracket width <= width_tol, then residual certification."""
+            flo: float, fhi: float, resid_tol: float) -> float:
+    """Bisection to bracket width <= _ROOT_WIDTH_TOL, then residual certification.
+
+    The root is the bracket end with the smaller residual, certified with the
+    residual already held there.
+    """
     if lo == hi:
         return lo
     for _ in range(200):
@@ -180,34 +203,43 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
             hi, fhi = mid, fm
         else:
             lo, flo = mid, fm
-        if hi - lo <= width_tol and min(abs(flo), abs(fhi)) <= resid_tol:
+        if hi - lo <= _ROOT_WIDTH_TOL and min(abs(flo), abs(fhi)) <= resid_tol:
             break
-    root = lo if abs(flo) <= abs(fhi) else hi
-    if abs(f(root)) > resid_tol:
+    root, froot = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    if abs(froot) > resid_tol:
         raise NumericalError(
-            f"root residual {f(root):.3e} exceeds certification tolerance {resid_tol:.1e}"
+            f"root residual {froot:.3e} exceeds certification tolerance {resid_tol:.1e}"
         )
     return root
 
 
-def _beta_root(residual: Callable[[float], float], alpha: float) -> float:
+def _root(f: Callable[[float], float], lo: float, hi: float, resid_tol: float) -> float:
+    """The one root of f on [lo, hi]: a sign-change scan, then bisection."""
+    a, b, fa, fb = _scan_bracket(f, lo, hi)
+    return _bisect(f, a, b, fa, fb, resid_tol)
+
+
+def _beta_bracket(alpha: float) -> tuple[float, float]:
+    """The beta interval a root solve at alpha scans; it lies inside (0, alpha)."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     lo, hi = 1e-6, alpha - _BRACKET_MARGIN
     if hi <= lo:
         raise DomainError(f"alpha={alpha!r} leaves no beta bracket")
-    a, b, fa, fb = _scan_bracket(residual, lo, hi)
-    return _bisect(residual, a, b, fa, fb, width_tol=_ROOT_WIDTH_TOL, resid_tol=1e-9)
+    return lo, hi
 
 
 def weak_beta(alpha: float) -> float:
     """Root in beta of the weak-threshold equation at the given alpha."""
-    return _beta_root(lambda b: weak_residual(alpha, b), alpha)
+    lo, hi = _beta_bracket(alpha)
+    return _root(lambda b: _weak_residual(alpha, b), lo, hi, resid_tol=1e-9)
 
 
 def sec_upper_beta(alpha: float, xi_sk: float = XI_SK_DEFAULT) -> float:
     """Root in beta of the sectional upper-bound equation at the given alpha."""
-    return _beta_root(lambda b: sec_upper_residual(alpha, b, xi_sk), alpha)
+    lo, hi = _beta_bracket(alpha)
+    _check_xi_sk(xi_sk)
+    return _root(lambda b: _sec_upper_residual(alpha, b, xi_sk), lo, hi, resid_tol=1e-9)
 
 
 def sec_lower_solve(beta: float) -> SectionalLowerSolve:
@@ -222,9 +254,8 @@ def sec_lower_solve(beta: float) -> SectionalLowerSolve:
         # At beta >= 1/2 the theta equation's numerator is negative for every
         # theta in (beta, 1), so the system has no solution at all.
         raise DomainError(f"beta must lie in (0, 0.5), got {beta!r}")
-    f = lambda t: _sec_lower_theta_residual(t, beta)
-    a, b, fa, fb = _scan_bracket(f, beta + 1e-9, 1.0 - 1e-9)
-    theta = _bisect(f, a, b, fa, fb, width_tol=1e-10, resid_tol=1e-10)
+    theta = _root(lambda t: _sec_lower_theta_residual(t, beta),
+                  beta + 1e-9, 1.0 - 1e-9, resid_tol=1e-10)
     if not (beta <= theta <= 1.0):
         raise ConsistencyError(f"theta_hat={theta!r} escaped [beta, 1]")
     alpha_bound = _sec_lower_alpha_bound(theta, beta)

@@ -5,11 +5,17 @@ The forward error function is the C library's ``math.erf`` (accurate to
 normal quantile seeds two Newton corrections on erf itself, which pins the
 relative error well below 1e-12 everywhere the curve solvers can reach
 (|p| <= 1 - 1e-12 by bracket clamping).
+
+``erfinv`` runs once per residual evaluation of every curve root, so its
+body is written for the interpreter: the coefficients are module constants,
+the math functions are bound at import, and the Newton branch (erfc for
+p > 0.5, erf otherwise) is chosen once for both steps.
 """
 
 from __future__ import annotations
 
 import math
+from math import erf, erfc, exp, log, sqrt
 
 from .errors import DomainError
 
@@ -20,31 +26,32 @@ SQRT_2 = math.sqrt(2.0)
 # Rational approximation of the standard normal quantile (Acklam's
 # coefficients; relative error ~1.15e-9 on (0,1)).  erfinv is recovered via
 # erfinv(p) = Phi^{-1}((p+1)/2) / sqrt(2) and then polished on erf directly.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
+_A0, _A1, _A2 = -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02
+_A3, _A4, _A5 = 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00
+_B0, _B1, _B2 = -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02
+_B3, _B4 = 6.680131188771972e+01, -1.328068155288572e+01
+_C0, _C1, _C2 = -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00
+_C3, _C4, _C5 = -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00
+_D0, _D1 = 7.784695709041462e-03, 3.224671290700398e-01
+_D2, _D3 = 2.445134137142996e+00, 3.754408661907416e+00
 _P_LOW = 0.02425
+_P_HIGH = 1.0 - _P_LOW
 
 
 def _norm_quantile(p: float) -> float:
     """Acklam's rational approximation to Phi^{-1}(p), 0 < p < 1."""
     if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+        q = sqrt(-2.0 * log(p))
+        return (((((_C0 * q + _C1) * q + _C2) * q + _C3) * q + _C4) * q + _C5) / (
+            (((_D0 * q + _D1) * q + _D2) * q + _D3) * q + 1.0)
+    if p > _P_HIGH:
+        q = sqrt(-2.0 * log(1.0 - p))
+        return -((((((_C0 * q + _C1) * q + _C2) * q + _C3) * q + _C4) * q + _C5) / (
+            (((_D0 * q + _D1) * q + _D2) * q + _D3) * q + 1.0))
     q = p - 0.5
     r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+    return (((((_A0 * r + _A1) * r + _A2) * r + _A3) * r + _A4) * r + _A5) * q / (
+        ((((_B0 * r + _B1) * r + _B2) * r + _B3) * r + _B4) * r + 1.0)
 
 
 def erfinv(p: float) -> float:
@@ -65,20 +72,20 @@ def erfinv(p: float) -> float:
     DomainError
         If |p| >= 1 or p is not finite.
     """
-    if not math.isfinite(p) or abs(p) >= 1.0:
+    if not -1.0 < p < 1.0:  # also refuses nan
         raise DomainError(f"erfinv requires -1 < p < 1, got {p!r}")
     if p == 0.0:
         return 0.0
     if p < 0.0:
         return -erfinv(-p)
     x = _norm_quantile(0.5 * (p + 1.0)) / SQRT_2
-    # Newton on erf; near p = 1 the residual is formed through erfc to dodge
-    # the cancellation in erf(x) - p.
-    q = 1.0 - p
-    for _ in range(2):
-        if p > 0.5:
-            residual = q - math.erfc(x)  # == erf(x) - p, without cancellation
-        else:
-            residual = math.erf(x) - p
-        x -= residual * 0.5 * SQRT_PI * math.exp(x * x)
+    # Two Newton steps on erf; near p = 1 the residual is formed through erfc
+    # to dodge the cancellation in erf(x) - p.
+    if p > 0.5:
+        q = 1.0 - p
+        x -= (q - erfc(x)) * 0.5 * SQRT_PI * exp(x * x)
+        x -= (q - erfc(x)) * 0.5 * SQRT_PI * exp(x * x)
+    else:
+        x -= (erf(x) - p) * 0.5 * SQRT_PI * exp(x * x)
+        x -= (erf(x) - p) * 0.5 * SQRT_PI * exp(x * x)
     return x

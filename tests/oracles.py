@@ -138,8 +138,6 @@ def oracle_box_distance(Dperp, k, b):
     b = np.asarray(b, dtype=float)
     M = Dperp[:, : n - k]
     c = Dperp[:, n - k:] @ b
-    if M.shape[1] == 0:
-        return float(np.linalg.norm(c))
     res = lsq_linear(M, c, bounds=(-1.0, 1.0), method="bvls", tol=1e-14)
     return float(np.linalg.norm(M @ res.x - c))
 

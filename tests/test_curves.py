@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,27 @@ WEAK_BETA = {0.3: 0.0872353104740279, 0.5: 0.19284483309074055,
              0.7: 0.34918992673388255}
 SEC_UPPER_BETA_HALF = 0.13345549818314295
 SEC_LOWER_01 = (0.4190748330026554, 0.49294641420449503)
+
+# sha256 of the space-joined float.hex() of every beta emit_curves returns on
+# the CLI's default grid, in point order.  The CSV pin prints 12 significant
+# digits and cannot see a last-bit change; these can.
+DEFAULT_GRID = [round(0.05 + i * 0.05, 12) for i in range(19)]
+CURVE_BITS = {
+    0.0: "64d6d62d6db60f6c1ae73a678635ae0928fa3ddc9ff22b8d6258933378b8bce7",
+    0.1: "4d2daa324a8c9b200eb99d51e1ceb0668f56e2e393a18968ff920271c5864808",
+    0.2: "dd372aaabaf6fc8251d696ae0d0170e5ef7f9f5a2abfe377f7371a2dbc1c50d7",
+    0.3: "37e28e43b32101643f3a165d722c91d789b24ef79b4471791e5c198a32894c03",
+    0.4: "484dc8aa7b8397052dbdd0b8f658dbac872bc02b341319b8bfaa692a30e9dceb",
+    0.5: "ce0144e7221fa8a939b8c45fd4ec4174e02cb53c54e362a74790d15704ba40b8",
+    0.6: "a829aa63f1cd7c1119a1e5a2df449b23a66a1a597436762e32c149874f7c393a",
+    0.7632: "19212fd50747a43cc722aa767469d679ab9898c439b685b1143817c5ad20bda9",
+}
+SWEEP_BITS = ("c9a31adbc1ff46aa8f17c7a8725c5a60c1b63f2ab2cece87607e958e3439297a",
+              "e0112f75cdb2ec74df98f6f5f368e05638896fbe76abe81cf36a22d62a2eab86")
+
+
+def hex_digest(values):
+    return hashlib.sha256(" ".join(float(v).hex() for v in values).encode()).hexdigest()
 
 
 class TestWeakResidual:
@@ -201,3 +225,48 @@ class TestSecLowerSweepCache:
     def test_shared_sweep_is_immutable(self):
         alphas, betas = curves._sec_lower_sweep()
         assert isinstance(alphas, tuple) and isinstance(betas, tuple)
+
+
+class TestBitPins:
+    @pytest.mark.parametrize("xi", sorted(CURVE_BITS))
+    def test_emitted_betas(self, xi):
+        points = emit_curves(DEFAULT_GRID, xi_sk=xi).points
+        assert hex_digest(p.beta for p in points) == CURVE_BITS[xi]
+
+    def test_sec_lower_sweep(self):
+        alphas, betas = curves._sec_lower_sweep()
+        assert (hex_digest(alphas), hex_digest(betas)) == SWEEP_BITS
+
+
+class TestDomainChecksBeforeResiduals:
+    """Bad inputs are refused before any residual is evaluated."""
+
+    @pytest.fixture(autouse=True)
+    def no_residual_runs(self, monkeypatch):
+        def unreachable(p):
+            raise AssertionError(f"a residual ran: erfinv({p!r})")
+
+        monkeypatch.setattr(curves, "erfinv", unreachable)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan, math.inf])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(DomainError):
+            weak_beta(alpha)
+        with pytest.raises(DomainError):
+            sec_upper_beta(alpha)
+        with pytest.raises(DomainError):
+            emit_curves([alpha])
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -1.0])
+    def test_bad_xi_sk(self, xi):
+        with pytest.raises(DomainError):
+            sec_upper_beta(0.5, xi)
+        with pytest.raises(DomainError):
+            emit_curves([0.5], xi_sk=xi)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.3), (0.3, 0.5)])
+    def test_beta_not_below_alpha(self, alpha, beta):
+        with pytest.raises(DomainError):
+            weak_residual(alpha, beta)
+        with pytest.raises(DomainError):
+            sec_upper_residual(alpha, beta, XI_SK_DEFAULT)

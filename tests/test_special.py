@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,13 @@ from secthresh import DomainError, erfinv
 
 # Reference value frozen from tests/oracles.py (mpmath at 30 digits).
 ERFINV_HALF = 0.4769362762044699
+
+# A dense grid on both branches, 0, tiny values, and values within 1e-12 of
+# +-1, pinned by the sha256 of the space-joined float.hex() of erfinv on it.
+_PS = [i / 10000 for i in range(-9999, 10000)]
+_PS += [1.0 - 10.0 ** -j for j in range(5, 16)] + [1.0 - 2e-16, 5e-324, 1e-300, 1e-17]
+PIN_GRID = _PS + [-p for p in _PS]
+PIN_BITS = "f8a33b396383e4497c38480d7d95209dbceafd5c78bba1f3d2f33ac742cf9079"
 
 
 class TestErfinv:
@@ -41,3 +49,7 @@ class TestErfinv:
         for bad in (-1.0, 1.0, 1.5, float("nan")):
             with pytest.raises(DomainError):
                 erfinv(bad)
+
+    def test_bits_pinned(self):
+        bits = " ".join(erfinv(p).hex() for p in PIN_GRID)
+        assert hashlib.sha256(bits.encode()).hexdigest() == PIN_BITS
