@@ -28,8 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curves import XI_SK_DEFAULT, CurveKind, emit_curves
-from .errors import (CertificateError, ConsistencyError, DomainError,
-                     NumericalError, SecthreshError, UsageError)
+from .errors import DomainError, SecthreshError, UsageError
 from .harness import MAX_REPS, MAX_WORKERS, CellSpec, builtin_suite, run_suite
 from .instances import GaussianInstance, ProblemShape, sample_gaussian_matrix
 from .tau import Verdict, estimate_failure
@@ -185,10 +184,9 @@ def _report_outcome(outcome, n: int, m: int, k: int,
 def cmd_tau(args: argparse.Namespace) -> int:
     # CellSpec holds the cell rules (n <= MAX_N, m < n, 1 <= k < m) and
     # raises DomainError before anything is sampled.
-    cell = CellSpec(n=args.n, m=args.m, k=args.k, reps=1)
+    CellSpec(n=args.n, m=args.m, k=args.k, reps=1)
     _check_writable(args.emit_certificate)
-    shape = ProblemShape(n=cell.n, m=cell.m, k=cell.k)
-    instance = sample_gaussian_matrix(shape, args.seed)
+    instance = sample_gaussian_matrix(ProblemShape(n=args.n, m=args.m, k=args.k), args.seed)
     outcome = estimate_failure(instance, args.k)
     _report_outcome(outcome, args.n, args.m, args.k, args.emit_certificate)
     return EXIT_OK
@@ -201,34 +199,38 @@ def _suite_int(value) -> int:
     return int(value)
 
 
+def _parse_cell(text: str) -> tuple[int, int, int]:
+    try:
+        n, m, k = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be n,m,k, got {text!r}") from None
+    return n, m, k
+
+
 def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
+    # argparse admits exactly one of --builtin, --cell and --suite.
     if args.builtin:
         return builtin_suite(args.builtin, reps=args.reps, base_seed=args.seed)
-    if args.suite:
-        try:
-            with open(args.suite) as handle:
-                raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read suite spec {args.suite!r}: {exc}") from exc
-        if not isinstance(raw, list):
-            raise DomainError("suite spec must be a JSON list of cells")
-        cells = []
-        for entry in raw:
-            try:
-                cells.append(CellSpec(n=_suite_int(entry["n"]), m=_suite_int(entry["m"]),
-                                      k=_suite_int(entry["k"]),
-                                      reps=_suite_int(entry.get("reps", args.reps)),
-                                      base_seed=args.seed))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DomainError(f"malformed suite cell {entry!r}: {exc}") from exc
-        return cells
     if args.cell:
-        try:
-            n, m, k = (int(v) for v in args.cell.split(","))
-        except ValueError as exc:
-            raise DomainError(f"--cell must be n,m,k, got {args.cell!r}") from exc
+        n, m, k = args.cell
         return [CellSpec(n=n, m=m, k=k, reps=args.reps, base_seed=args.seed)]
-    raise DomainError("one of --builtin, --suite, or --cell is required")
+    try:
+        with open(args.suite) as handle:
+            raw = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read suite spec {args.suite!r}: {exc}") from exc
+    if not isinstance(raw, list):
+        raise DomainError("suite spec must be a JSON list of cells")
+    cells = []
+    for entry in raw:
+        try:
+            cells.append(CellSpec(n=_suite_int(entry["n"]), m=_suite_int(entry["m"]),
+                                  k=_suite_int(entry["k"]),
+                                  reps=_suite_int(entry.get("reps", args.reps)),
+                                  base_seed=args.seed))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed suite cell {entry!r}: {exc}") from exc
+    return cells
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -252,31 +254,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _read_matrix_csv(path: str) -> np.ndarray:
+    """Rows of comma-separated numbers; blank lines are skipped and not counted."""
     try:
         with open(path) as handle:
-            rows = [line.strip() for line in handle if line.strip()]
+            rows = [line for line in handle if line.strip()]
     except OSError as exc:
         raise DomainError(f"cannot read matrix file {path!r}: {exc}") from exc
     if not rows:
         raise DomainError(f"matrix file {path!r} is empty")
-    parsed = []
-    width = None
-    for idx, row in enumerate(rows):
-        fields = row.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise DomainError(
-                f"ragged matrix: line {idx + 1} has {len(fields)} fields, expected {width}"
-            )
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise DomainError(f"non-numeric entry on line {idx + 1}: {exc}") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError(f"non-finite entry on line {idx + 1}")
-        parsed.append(values)
-    return np.array(parsed, dtype=float)
+    try:
+        A = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise DomainError(f"malformed matrix file {path!r}: {exc}") from exc
+    bad = ~np.isfinite(A).all(axis=1)
+    if bad.any():
+        raise DomainError(f"non-finite entry on line {int(bad.argmax()) + 1}")
+    return A
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -299,8 +292,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: ...`` line and exits 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="secthresh",
         description="Threshold curves and sectional-failure certification "
                     "for l1 recovery over Gaussian measurements.",
@@ -325,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tau.set_defaults(func=cmd_tau)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo suite")
-    p_sim.add_argument("--builtin", choices=("table1", "table2"), default=None)
-    p_sim.add_argument("--suite", default=None, help="JSON suite spec path")
-    p_sim.add_argument("--cell", default=None, help="inline cell n,m,k")
+    selector = p_sim.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--builtin", choices=("table1", "table2"))
+    selector.add_argument("--suite", help="JSON suite spec path")
+    selector.add_argument("--cell", type=_parse_cell, help="inline cell n,m,k")
     p_sim.add_argument("--reps", type=int, default=25,
                        help=f"reps per cell, 1 to {MAX_REPS} (default 25)")
     p_sim.add_argument("--seed", type=int, default=0)
@@ -346,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
@@ -356,11 +356,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DomainError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, ConsistencyError, CertificateError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except SecthreshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

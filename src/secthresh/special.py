@@ -65,7 +65,8 @@ def erfinv(p: float) -> float:
     Returns
     -------
     float
-        erf^{-1}(p) with relative error <= 1e-12.
+        erf^{-1}(p), with relative error <= 1e-12 for |p| <= 1 - 1e-12.
+        Closer to +-1 the error grows: about 4e-7 at 1 - 1e-15.
 
     Raises
     ------
@@ -78,7 +79,9 @@ def erfinv(p: float) -> float:
         return 0.0
     if p < 0.0:
         return -erfinv(-p)
-    x = _norm_quantile(0.5 * (p + 1.0)) / SQRT_2
+    # u rounds to 1 for p within 2^-53 of 1; Phi^{-1}(u) = -Phi^{-1}((1 - p) / 2).
+    u = 0.5 * (p + 1.0)
+    x = (_norm_quantile(u) if u < 1.0 else -_norm_quantile(0.5 * (1.0 - p))) / SQRT_2
     # Two Newton steps on erf; near p = 1 the residual is formed through erfc
     # to dodge the cancellation in erf(x) - p.
     if p > 0.5:

@@ -119,8 +119,6 @@ class ConstructionReport:
     passed: bool
     l1_original: float
     l1_competitor: float
-    head_l1: float
-    tail_l1: float
     measurement_residual: float
 
 
@@ -131,16 +129,18 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class TauOutcome:
-    verdict: Verdict
     best_b: np.ndarray
     best_distance: float
     certificate: Optional[Certificate]
     flips_evaluated: int
     diagnostic: str = ""
 
-    def __post_init__(self):
-        if (self.verdict is Verdict.CertifiedFailure) != (self.certificate is not None):
-            raise DomainError("verdict and certificate presence must agree")
+    @property
+    def verdict(self) -> Verdict:
+        """CertifiedFailure exactly when the search holds a certificate."""
+        if self.certificate is None:
+            return Verdict.NotCertified
+        return Verdict.CertifiedFailure
 
 
 def as_sign_pattern(b, k: int) -> np.ndarray:
@@ -272,11 +272,8 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
     """
     n = P.Dperp.shape[1]
     threshold = positivity_threshold(n)
-    if not solve.converged:
-        raise UsageError("certificate extraction requires a converged solve")
-    if solve.stopped_below:
-        raise UsageError("certificate extraction requires a solve run to its fixed point, "
-                         "not one stopped below a bound")
+    if not solve.converged or solve.stopped_below:
+        raise UsageError("certificate extraction requires a solve run to its fixed point")
     if solve.distance <= threshold:
         raise UsageError(
             f"distance {solve.distance:.3e} not above positivity threshold {threshold:.3e}"
@@ -330,8 +327,6 @@ def verify_theorem2_construction(A: np.ndarray, k: int,
         passed=passed,
         l1_original=l1_original,
         l1_competitor=l1_competitor,
-        head_l1=cert.head_l1,
-        tail_l1=cert.tail_l1,
         measurement_residual=meas,
     )
 
@@ -382,58 +377,40 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
     threshold = positivity_threshold(n)
     unconverged = 0
 
-    def finish(verdict, b, distance, cert, flips):
-        note = f"unconverged-solves={unconverged}" if unconverged else ""
-        return TauOutcome(
-            verdict=verdict, best_b=b.copy(), best_distance=distance,
-            certificate=cert, flips_evaluated=flips, diagnostic=note,
-        )
-
-    def try_certify(solve):
-        if not (solve.converged and not solve.stopped_below
-                and solve.distance > threshold):
-            return None
-        try:
-            return extract_certificate(P, k, solve)
-        except CertificateError:
-            return None
+    def step(x0, stop_below):
+        """Solve b: the solve, its quantized distance, and its certificate or None."""
+        nonlocal unconverged
+        solve = dual_distance(P, k, b, x0=x0, stop_below=stop_below)
+        unconverged += not solve.converged
+        positive = solve.distance > threshold and not solve.stopped_below
+        cert = None
+        if positive and solve.converged:
+            try:
+                cert = extract_certificate(P, k, solve)
+            except CertificateError:
+                pass
+        return solve, (solve.distance if positive else 0.0), cert
 
     gram = _tail_margin_gram(P, k)
     b = np.ones(k)
     gram_b = gram @ b
     margin = float(b @ gram_b)
-
-    solve = dual_distance(P, k, b)
-    if not solve.converged:
-        unconverged += 1
-    cert = try_certify(solve)
-    if cert is not None:
-        return finish(Verdict.CertifiedFailure, b, solve.distance, cert, 0)
-
-    head = solve.z_star[:n - k]
+    solve, quantized, cert = step(None, None)
     incumbent = solve.distance
-    quantized = incumbent if incumbent > threshold else 0.0
-    flips = 0
-    rejects = 0
+    head = solve.z_star[:n - k]
+    flips = rejects = 0
     cap = MAX_PASSES * k
-    while rejects < k and flips < cap:
+    while cert is None and rejects < k and flips < cap:
         i = flips % k
         flips += 1
         margin_cand = margin + float(-4.0 * b[i] * gram_b[i] + 4.0 * gram[i, i])
         margin_improves = margin_cand > margin + 1e-12 * max(1.0, abs(margin))
         stop_below = threshold if quantized == 0.0 and not margin_improves else None
         b[i] = -b[i]
-        cand = dual_distance(P, k, b, x0=head, stop_below=stop_below)
-        if not cand.converged:
-            unconverged += 1
-        positive = cand.distance > threshold and not cand.stopped_below
-        cand_q = cand.distance if positive else 0.0
-        cert = try_certify(cand)
-        if cert is not None:
-            return finish(Verdict.CertifiedFailure, b, cand.distance, cert, flips)
-        improves = (cand_q > quantized + ACCEPT_TOL
-                    or (cand_q == quantized and margin_improves))
-        if improves:
+        cand, cand_q, cert = step(head, stop_below)
+        # A certified flip ends the search as the incumbent.
+        if (cert is not None or cand_q > quantized + ACCEPT_TOL
+                or (cand_q == quantized and margin_improves)):
             gram_b = gram_b + 2.0 * b[i] * gram[:, i]
             margin = margin_cand
             incumbent = cand.distance
@@ -443,7 +420,9 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
         else:
             b[i] = -b[i]
             rejects += 1
-    return finish(Verdict.NotCertified, b, incumbent, None, flips)
+    note = f"unconverged-solves={unconverged}" if unconverged else ""
+    return TauOutcome(best_b=b.copy(), best_distance=incumbent, certificate=cert,
+                      flips_evaluated=flips, diagnostic=note)
 
 
 def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
@@ -454,11 +433,7 @@ def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
     _check_block(k, instance.shape.n)
     P = null_projector(instance.A)
     outcome = bit_flip_search(P, k)
-    if outcome.verdict is Verdict.CertifiedFailure:
-        report = verify_theorem2_construction(instance.A, k, outcome.certificate)
-        if not report.passed:
-            raise CertificateError(
-                "certified outcome failed the construction check",
-                gap=outcome.certificate.gap,
-            )
+    cert = outcome.certificate
+    if cert is not None and not verify_theorem2_construction(instance.A, k, cert).passed:
+        raise CertificateError("certified outcome failed the construction check", gap=cert.gap)
     return outcome

@@ -33,8 +33,8 @@ SIGNATURES = {
     "CellSpec": ("n", "m", "k", "reps", "base_seed"),
     "Certificate": ("w", "head_l1", "tail_l1", "gap", "nullspace_residual"),
     "CertificateError": ("message", "gap"),
-    "ConstructionReport": ("passed", "l1_original", "l1_competitor", "head_l1",
-                           "tail_l1", "measurement_residual"),
+    "ConstructionReport": ("passed", "l1_original", "l1_competitor",
+                           "measurement_residual"),
     "CurveSet": ("points",),
     "DualSolve": ("b", "z_star", "distance", "iterations", "converged", "stopped_below"),
     "GaussianInstance": ("shape", "seed", "A"),
@@ -42,8 +42,8 @@ SIGNATURES = {
     "ProblemShape": ("n", "m", "k"),
     "RepRecord": ("seed", "verdict", "flips", "seconds", "diagnostic", "errored"),
     "SectionalLowerSolve": ("beta", "theta_hat", "alpha_bound"),
-    "TauOutcome": ("verdict", "best_b", "best_distance", "certificate",
-                   "flips_evaluated", "diagnostic"),
+    "TauOutcome": ("best_b", "best_distance", "certificate", "flips_evaluated",
+                   "diagnostic"),
     "ThresholdPoint": ("alpha", "beta", "kind"),
     "bit_flip_search": ("P", "k"),
     "builtin_suite": ("name", "reps", "base_seed"),

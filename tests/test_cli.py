@@ -1,8 +1,11 @@
 import concurrent.futures
 import hashlib
+import importlib
 import json
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +212,22 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--out", str(tmp_path / "r.csv")) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "table2", "--cell", "30,24,12"],
+        ["--cell", "30,24,12", "--suite", "suite.json"],
+        ["--cell", "30,24"],
+        ["--cell", "30,24,x"],
+        ["--cell", "30,24,12", "--reps", "x"],
+    ])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, nothing_runs, argv):
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", *argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: argument --")
+        assert not out.exists()
+
     def test_inline_cell_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert run_cli("simulate", "--cell", "30,24,10", "--reps", "2",
@@ -355,6 +374,22 @@ class TestCertifyCommand:
         assert run_cli("certify", "--matrix", str(mat), "--k", "1") == 2
         capsys.readouterr()
 
+    def test_blank_lines_skipped(self, tmp_path):
+        mat = tmp_path / "m.csv"
+        mat.write_text("\n1,2,3\n\n  \n4,5,6\n\n")
+        A = cli._read_matrix_csv(str(mat))
+        assert A.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("text", ["# comment\n1,2,3\n", "1,2,3,\n4,5,6,\n",
+                                      "a,b,c\n1,2,3\n", "1,2,3\n4,5\n", "",
+                                      "\n \n"])
+    def test_malformed_matrix_is_one_line(self, tmp_path, capsys, nothing_runs, text):
+        mat = tmp_path / "m.csv"
+        mat.write_text(text)
+        assert run_cli("certify", "--matrix", str(mat), "--k", "1") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+
     def test_not_wide_rejected(self, tmp_path, capsys):
         mat = tmp_path / "m.csv"
         mat.write_text("1,2\n3,4\n")
@@ -394,6 +429,23 @@ class TestCertifyCommand:
         assert run_cli("certify", "--matrix", str(tmp_path / "nope.csv"),
                        "--k", "1") == 2
         capsys.readouterr()
+
+
+def test_entry_point_resolves_to_main(tmp_path, monkeypatch, capsys):
+    # The installed console script calls this; check it without installing.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["secthresh"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is cli.main
+    out = tmp_path / "c.csv"
+    monkeypatch.setattr(sys, "argv", ["secthresh", "curves", "--grid", "0.5:0.5:0.1",
+                                      "--out", str(out)])
+    assert entry() == 0
+    assert len(out.read_text().splitlines()) == 4
+    capsys.readouterr()
 
 
 @pytest.mark.skipif(shutil.which("secthresh") is None,

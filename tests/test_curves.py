@@ -193,7 +193,7 @@ class TestEmitCurves:
 class TestSecLowerSweepCache:
     GRID = [0.2, 0.5, 0.8]
 
-    def test_solved_once_across_xi_and_tol(self, monkeypatch):
+    def test_solved_once_across_xi(self, monkeypatch):
         calls = []
         original = curves.sec_lower_solve
 

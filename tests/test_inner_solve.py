@@ -1,6 +1,7 @@
 """The inner solve loop: bit identity with its allocating form, the early stop
-below a bound, and pins of the search's outcomes: per rep on table2, and the
-certificate the `tau` command writes for one cell."""
+below a bound, and pins of the search: its call sequence on four small
+instances, its outcomes per rep on table1 and table2, and the certificate the
+`tau` command writes for one cell."""
 
 import hashlib
 import math
@@ -160,6 +161,57 @@ class TestEarlyStop:
             dual_distance(P, 1, [1.0], stop_below=bound)
 
 
+# Four small searches, one for each way a search ends: certified at the
+# all-ones start, certified after flips, k rejects in a row, and the flip cap
+# (MAX_PASSES lowered to 1).  Keys are (n, m, k, seed, MAX_PASSES or None).
+SEARCH_ENDINGS = ((24, 12, 4, 4, None), (30, 20, 8, 2, None),
+                  (16, 10, 4, 3, None), (16, 10, 4, 3, 1))
+
+
+def test_search_call_sequence_pinned(monkeypatch):
+    # The benchmark counts the search's solves and certificate calls and
+    # rebuilds its accepted flips from their patterns, so each call keeps its
+    # order, pattern, warm start and bound.
+    h = hashlib.sha256()
+    endings = []
+    solve_original, certify_original = tau.dual_distance, tau.extract_certificate
+    default_passes = tau.MAX_PASSES
+
+    def solve(P, k, b, x0=None, stop_below=None):
+        h.update(b"solve" + np.asarray(b, dtype=float).tobytes())
+        h.update(b"cold" if x0 is None else np.asarray(x0).tobytes())
+        h.update(b"none" if stop_below is None else stop_below.hex().encode())
+        return solve_original(P, k, b, x0=x0, stop_below=stop_below)
+
+    def certify(P, k, s):
+        h.update(b"certify" + s.b.tobytes())
+        return certify_original(P, k, s)
+
+    monkeypatch.setattr(tau, "dual_distance", solve)
+    monkeypatch.setattr(tau, "extract_certificate", certify)
+    for n, m, k, seed, passes in SEARCH_ENDINGS:
+        monkeypatch.setattr(tau, "MAX_PASSES", passes or default_passes)
+        out = bit_flip_search(_projector(n, m, k, seed), k)
+        endings.append((out.verdict.value, out.flips_evaluated))
+    assert endings == [("CertifiedFailure", 0), ("CertifiedFailure", 13),
+                       ("NotCertified", 10), ("NotCertified", 4)]
+    assert h.hexdigest() == (
+        "44e46f62f3acbfbef0e605f475de55d9a51394a5e0d41a8dc3b142e50c24e6e4")
+
+
+def table1_outcome_digest():
+    """sha256 over each table1 cell's verdict, flips and best pattern at 1 rep,
+    base seed 0.  Distances and certificate bits are left out."""
+    h = hashlib.sha256()
+    for spec in builtin_suite("table1", reps=1, base_seed=0):
+        seed = derive_rep_seed(spec.base_seed, 0)
+        instance = sample_gaussian_matrix(ProblemShape(n=spec.n, m=spec.m, k=spec.k), seed)
+        out = estimate_failure(instance, spec.k)
+        h.update(repr((out.verdict.value, out.flips_evaluated)).encode())
+        h.update(out.best_b.tobytes())
+    return h.hexdigest()
+
+
 def table2_outcome_digest():
     """sha256 over each table2 cell's outcome at 1 rep, base seed 0."""
     h = hashlib.sha256()
@@ -199,6 +251,13 @@ def test_table2_search_outcomes_pinned():
     code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
     assert _single_thread_blas("-c", code).strip() == (
         "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40")
+
+
+def test_table1_search_outcomes_pinned():
+    # The table1 half of the fixed-seed contract: verdicts, flips and patterns.
+    code = "import test_inner_solve as t; print(t.table1_outcome_digest())"
+    assert _single_thread_blas("-c", code).strip() == (
+        "deac25f9e6d4b01060f796d83c9465752baec8a99ebb0aa8f326474ce79e31ac")
 
 
 def test_tau_certificate_pinned(tmp_path):

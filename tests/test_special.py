@@ -50,6 +50,13 @@ class TestErfinv:
             with pytest.raises(DomainError):
                 erfinv(bad)
 
+    def test_last_float_below_one(self):
+        # (p + 1) / 2 rounds to 1 here, so the seed comes from the lower tail;
+        # the value is mpmath's.
+        p = 1.0 - 2.0**-53
+        assert erfinv(p) == 5.8635847487551676
+        assert erfinv(-p) == -5.8635847487551676
+
     def test_bits_pinned(self):
         bits = " ".join(erfinv(p).hex() for p in PIN_GRID)
         assert hashlib.sha256(bits.encode()).hexdigest() == PIN_BITS

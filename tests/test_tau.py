@@ -269,10 +269,14 @@ class TestOptionsAndOutcome:
     def test_positivity_threshold_scales(self):
         assert tau.positivity_threshold(100) == pytest.approx(1e-5)
 
-    def test_verdict_certificate_coupling(self):
-        with pytest.raises(DomainError):
-            TauOutcome(verdict=Verdict.CertifiedFailure, best_b=np.ones(1),
-                       best_distance=1.0, certificate=None, flips_evaluated=0)
+    def test_verdict_follows_certificate(self):
+        P = _hand_projector()
+        cert = extract_certificate(P, 1, dual_distance(P, 1, [1.0]))
+        for certificate, verdict in ((cert, Verdict.CertifiedFailure),
+                                     (None, Verdict.NotCertified)):
+            out = TauOutcome(best_b=np.ones(1), best_distance=1.0,
+                             certificate=certificate, flips_evaluated=0)
+            assert out.verdict is verdict
 
     def test_custom_options_accepted(self, monkeypatch):
         # The settings are read at call time.  At the default cap this search
