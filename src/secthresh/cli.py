@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import XI_SK_DEFAULT, CurveKind, emit_curves
+from .curves import MAX_GRID_POINTS, XI_SK_DEFAULT, CurveKind, emit_curves
 from .errors import DomainError, SecthreshError, UsageError
 from .harness import MAX_REPS, MAX_WORKERS, CellSpec, builtin_suite, run_suite
 from .instances import GaussianInstance, ProblemShape, sample_gaussian_matrix
@@ -38,9 +38,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _CURVE_ORDER = (CurveKind.WeakExact, CurveKind.SectionalLower, CurveKind.SectionalUpper)
-
-# Largest alpha grid `curves` accepts; each point costs two root solves.
-MAX_GRID_POINTS = 10_000
 
 
 def _check_writable(*paths: Optional[str]) -> None:
@@ -254,7 +251,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _read_matrix_csv(path: str) -> np.ndarray:
-    """Rows of comma-separated numbers; blank lines are skipped and not counted."""
+    """Rows of comma-separated numbers; blank lines are skipped and not counted.
+
+    Each row is read on its own, so every refusal names its line, counting
+    non-blank lines from 1.
+    """
     try:
         with open(path) as handle:
             rows = [line for line in handle if line.strip()]
@@ -262,14 +263,20 @@ def _read_matrix_csv(path: str) -> np.ndarray:
         raise DomainError(f"cannot read matrix file {path!r}: {exc}") from exc
     if not rows:
         raise DomainError(f"matrix file {path!r} is empty")
-    try:
-        A = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        raise DomainError(f"malformed matrix file {path!r}: {exc}") from exc
-    bad = ~np.isfinite(A).all(axis=1)
-    if bad.any():
-        raise DomainError(f"non-finite entry on line {int(bad.argmax()) + 1}")
-    return A
+    data = []
+    for number, row in enumerate(rows, 1):
+        try:
+            values = np.loadtxt([row], delimiter=",", ndmin=1, comments=None)
+        except ValueError:
+            raise DomainError(f"malformed matrix file {path!r}: line {number} "
+                              "has an entry that is not a number") from None
+        if data and values.size != data[0].size:
+            raise DomainError(f"malformed matrix file {path!r}: line {number} has "
+                              f"{values.size} entries, line 1 has {data[0].size}")
+        if not np.isfinite(values).all():
+            raise DomainError(f"non-finite entry on line {number}")
+        data.append(values)
+    return np.vstack(data)
 
 
 def cmd_certify(args: argparse.Namespace) -> int:

@@ -120,6 +120,7 @@ def test_traced_names_are_looked_up_in_their_modules(monkeypatch):
     assert tau.estimate_failure(instance, 1).verdict is Verdict.CertifiedFailure
     assert all(count >= 1 for count in calls.values()), calls
 
+    curves._xi_free_point.cache_clear()  # a warm point would skip its weak root
     calls = _count_calls(monkeypatch, curves, ("weak_beta", "sec_upper_beta", "erfinv"))
     curves.emit_curves([0.5])
     assert all(count >= 1 for count in calls.values()), calls

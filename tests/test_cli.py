@@ -390,6 +390,17 @@ class TestCertifyCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()] and err.startswith("error: ")
 
+    @pytest.mark.parametrize("row, why", [
+        ("4,x,6", "line 2 has an entry that is not a number"),
+        ("4,5", "line 2 has 2 entries, line 1 has 3"),
+    ])
+    def test_malformed_row_names_its_line(self, tmp_path, capsys, nothing_runs, row, why):
+        mat = tmp_path / "m.csv"
+        mat.write_text(f"\n1,2,3\n\n{row}\n7,8,9\n")
+        assert run_cli("certify", "--matrix", str(mat), "--k", "1") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.strip().endswith(why)
+
     def test_not_wide_rejected(self, tmp_path, capsys):
         mat = tmp_path / "m.csv"
         mat.write_text("1,2\n3,4\n")

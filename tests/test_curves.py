@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from secthresh import (XI_SK_DEFAULT, ConsistencyError, CurveKind, DomainError,
-                       emit_curves, sec_lower_solve, sec_upper_beta,
+                       NumericalError, emit_curves, sec_lower_solve, sec_upper_beta,
                        sec_upper_residual, weak_beta, weak_residual)
 import secthresh.curves as curves
 from secthresh.curves import mg_ratio_closed_form
@@ -33,6 +33,10 @@ CURVE_BITS = {
     0.6: "a829aa63f1cd7c1119a1e5a2df449b23a66a1a597436762e32c149874f7c393a",
     0.7632: "19212fd50747a43cc722aa767469d679ab9898c439b685b1143817c5ad20bda9",
 }
+# erfinv calls of the 19 sec_upper_beta roots on the default grid at the
+# default xi_sk, counted before the weak roots were cached: a warm
+# emit_curves call makes exactly these.
+UPPER_ROOTS_ERFINV_CALLS = 8052
 SWEEP_BITS = ("c9a31adbc1ff46aa8f17c7a8725c5a60c1b63f2ab2cece87607e958e3439297a",
               "e0112f75cdb2ec74df98f6f5f368e05638896fbe76abe81cf36a22d62a2eab86")
 
@@ -227,6 +231,62 @@ class TestSecLowerSweepCache:
         assert isinstance(alphas, tuple) and isinstance(betas, tuple)
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(curves, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(curves, name, counted)
+    return calls
+
+
+class TestXiFreePointCache:
+    GRID = [0.2, 0.5, 0.8]
+
+    def test_weak_roots_solved_once_across_xi(self, monkeypatch):
+        curves._xi_free_point.cache_clear()
+        calls = _count_calls(monkeypatch, "weak_beta")
+        uppers = [[p.beta for p in emit_curves(self.GRID, xi_sk=xi)
+                   .by_kind(CurveKind.SectionalUpper)] for xi in (0.3, XI_SK_DEFAULT, 0.0)]
+        assert len(calls) == len(self.GRID)
+        assert uppers[0] != uppers[1] != uppers[2]
+
+    def test_cold_and_warm_points_are_bit_equal(self):
+        curves._sec_lower_sweep.cache_clear()
+        curves._xi_free_point.cache_clear()
+        cold = emit_curves(self.GRID)
+        assert curves._xi_free_point.cache_info().currsize == len(self.GRID)
+        warm = emit_curves(self.GRID)
+        assert [p.beta.hex() for p in cold.points] == [p.beta.hex() for p in warm.points]
+
+    def test_failed_root_is_not_cached(self, monkeypatch):
+        calls = []
+
+        def failing(alpha):
+            calls.append(alpha)
+            raise NumericalError("no sign change")
+
+        curves._xi_free_point.cache_clear()
+        monkeypatch.setattr(curves, "weak_beta", failing)
+        for _ in range(2):
+            with pytest.raises(NumericalError, match="alpha=0.5"):
+                emit_curves([0.5])
+        assert calls == [0.5, 0.5]
+        assert curves._xi_free_point.cache_info().currsize == 0
+
+    def test_bounded_at_grid_cap(self):
+        assert curves._xi_free_point.cache_info().maxsize == curves.MAX_GRID_POINTS
+
+    def test_warm_call_solves_only_upper_roots(self, monkeypatch):
+        emit_curves(DEFAULT_GRID)
+        calls = _count_calls(monkeypatch, "erfinv")
+        emit_curves(DEFAULT_GRID)
+        assert len(calls) == UPPER_ROOTS_ERFINV_CALLS
+
+
 class TestBitPins:
     @pytest.mark.parametrize("xi", sorted(CURVE_BITS))
     def test_emitted_betas(self, xi):
@@ -254,6 +314,11 @@ class TestDomainChecksBeforeResiduals:
             weak_beta(alpha)
         with pytest.raises(DomainError):
             sec_upper_beta(alpha)
+        with pytest.raises(DomainError):
+            emit_curves([alpha])
+
+    @pytest.mark.parametrize("alpha", ["x", None, 10**400])
+    def test_alpha_not_a_number(self, alpha):
         with pytest.raises(DomainError):
             emit_curves([alpha])
 
