@@ -341,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default="results.csv")
     p_sim.add_argument("--workers", type=int, default=0,
-                       help=f"worker processes, 1 to {MAX_WORKERS} "
-                            "(default: the CPU count)")
+                       help=f"processes that run reps, this one included, 1 to "
+                            f"{MAX_WORKERS} (default: the CPU count)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cert = sub.add_parser("certify", help="certify a matrix supplied as CSV")

@@ -122,7 +122,11 @@ def _weak_residual(alpha: float, beta: float) -> float:
 
 
 def _check_xi_sk(xi_sk: float) -> None:
-    if not (math.isfinite(xi_sk) and xi_sk >= 0.0):
+    try:
+        ok = math.isfinite(xi_sk) and xi_sk >= 0.0
+    except (TypeError, OverflowError):  # not a real number, or an int past float
+        ok = False
+    if not ok:
         raise DomainError(f"xi_sk must be finite and >= 0, got {xi_sk!r}")
 
 

@@ -1,13 +1,16 @@
 """Monte Carlo harness: failure-rate estimation over (n, m, k) cells.
 
 Each cell draws ``reps`` seeded Gaussian instances, runs the certification
-pipeline on each, and reports the fraction certified.  A suite runs every rep
-of every cell on one process pool, so the workers stay busy across cell
-boundaries.  Per-rep seeds are pre-derived from the cell's base seed, so
-results are identical no matter how the work is scheduled or how many workers
-run it.  Each rep is timed here, once, around ``estimate_failure``: the
-factorization, the search and the certificate checks, not the sampling.  A
-cell keeps only its reps; its counts and means are computed from them.
+pipeline on each, and reports the fraction certified.  A suite lists every rep
+of every cell as one task list, and ``workers`` processes work it: the
+calling process and ``workers - 1`` forked children, each taking the next rep
+from one shared index, so every process stays busy across cell boundaries and
+none sits idle waiting for the others.  Per-rep seeds are pre-derived from the
+cell's base seed, so results are identical no matter how the work is
+scheduled or how many processes run it.  Each rep is timed here, once, around
+``estimate_failure``: the factorization, the search and the certificate
+checks, not the sampling.  A cell keeps only its reps; its counts and means
+are computed from them.
 
 The reference counts from the original simulation study are embedded for
 side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
@@ -28,7 +31,7 @@ from .tau import Verdict, estimate_failure
 # A suite's (cell, rep) tasks are listed before any rep runs, so the rep count
 # is capped to keep that list small.
 MAX_REPS = 100_000
-# Each worker is a forked process, so the pool size is capped as well.
+# Every worker but the caller is a forked process, so the count is capped.
 MAX_WORKERS = 256
 
 
@@ -175,27 +178,62 @@ def _run_rep(args: tuple[int, int, int, int]) -> RepRecord:
                      diagnostic=outcome.diagnostic)
 
 
+# The next task index of the running suite, shared by the caller and its
+# pool children; each child receives it from the pool's initializer.
+_task_index = None
+
+
+def _share_index(index) -> None:
+    global _task_index
+    _task_index = index
+
+
+def _drain(tasks: list, index=None) -> list[tuple[int, RepRecord]]:
+    """Run tasks by the shared index, lowest first, until none is left, and
+    return (task index, record) pairs.  ``index`` defaults to the one this
+    pool child was given."""
+    index = _task_index if index is None else index
+    done = []
+    while True:
+        with index.get_lock():
+            i = index.value
+            index.value = i + 1
+        if i >= len(tasks):
+            return done
+        done.append((i, _run_rep(tasks[i])))
+
+
 def run_suite(cells: Sequence[CellSpec], workers: int = 1) -> list[CellResult]:
-    """Run cells in order, every rep of the suite on one pool of at most
-    ``workers`` processes; the results do not depend on the worker count.
-    A rep that raises a library error is recorded as errored and never
-    aborts its cell.  ``workers`` must lie in 1..MAX_WORKERS."""
+    """Run cells in order, every rep of the suite on ``workers`` processes:
+    this one and ``workers - 1`` forked children, which take reps from one
+    shared index.  The results do not depend on the worker count.  A rep that
+    raises a library error is recorded as errored and never aborts its cell.
+    ``workers`` must lie in 1..MAX_WORKERS; no more processes run than there
+    are reps."""
     if not (1 <= workers <= MAX_WORKERS):
         raise DomainError(f"need 1 <= workers <= {MAX_WORKERS}, got {workers}")
     tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r))
              for spec in cells for r in range(spec.reps)]
     workers = min(workers, len(tasks))
     if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # The workers sample instances, which needs numpy.random; load it
-        # before they fork so that they share its pages.
+        # Every process samples instances, which needs numpy.random; load it
+        # before the children fork so that they share its pages.
         import numpy.random  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_rep, tasks))
+        fork = multiprocessing.get_context("fork")
+        index = fork.Value("q", 0)
+        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=fork,
+                                 initializer=_share_index, initargs=(index,)) as pool:
+            children = [pool.submit(_drain, tasks) for _ in range(workers - 1)]
+            done = _drain(tasks, index)
+            for child in children:
+                done += child.result()
+        records = [record for _, record in sorted(done)]
     else:
         records = [_run_rep(t) for t in tasks]
-    # pool.map keeps task order, so each cell's reps are the next spec.reps.
+    # Records are in task order, so each cell's reps are the next spec.reps.
     ordered = iter(records)
     return [CellResult(spec, tuple(islice(ordered, spec.reps))) for spec in cells]

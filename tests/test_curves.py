@@ -329,6 +329,16 @@ class TestDomainChecksBeforeResiduals:
         with pytest.raises(DomainError):
             emit_curves([0.5], xi_sk=xi)
 
+    @pytest.mark.parametrize("xi", ["x", None, 10**400, 1j],
+                             ids=["str", "None", "huge-int", "complex"])
+    @pytest.mark.parametrize("entry", [lambda xi: emit_curves([0.5], xi_sk=xi),
+                                       lambda xi: sec_upper_beta(0.5, xi),
+                                       lambda xi: sec_upper_residual(0.5, 0.2, xi)],
+                             ids=["emit_curves", "sec_upper_beta", "sec_upper_residual"])
+    def test_xi_sk_not_a_number(self, entry, xi):
+        with pytest.raises(DomainError, match="xi_sk"):
+            entry(xi)
+
     @pytest.mark.parametrize("alpha, beta", [(0.3, 0.3), (0.3, 0.5)])
     def test_beta_not_below_alpha(self, alpha, beta):
         with pytest.raises(DomainError):

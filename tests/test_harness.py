@@ -1,8 +1,10 @@
 import concurrent.futures
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -215,7 +217,7 @@ def test_suite_on_one_pool_identical_across_workers(pool_sizes):
     serial = run_suite(MIXED_SUITE, workers=1)
     assert pool_sizes == []
     parallel = run_suite(MIXED_SUITE, workers=2)
-    assert pool_sizes == [2]  # one pool for all three cells
+    assert pool_sizes == [1]  # one pool for all three cells, beside the caller
     assert rep_fields(serial) == rep_fields(parallel)
     assert cell_fields(serial) == cell_fields(parallel)
     assert [len(res.per_rep) for res in parallel] == [2, 3, 1]
@@ -225,11 +227,62 @@ def test_suite_on_one_pool_identical_across_workers(pool_sizes):
 def test_more_workers_than_tasks(pool_sizes):
     cells = MIXED_SUITE[:1]
     parallel = run_suite(cells, workers=8)
-    assert pool_sizes == [2]  # one worker for each of the two reps
+    assert pool_sizes == [1]  # two processes for the two reps: the caller and a child
     assert rep_fields(parallel) == rep_fields(run_suite(cells))
     # A single rep needs no pool at all.
     run_suite([MIXED_SUITE[2]], workers=8)
-    assert pool_sizes == [2]
+    assert pool_sizes == [1]
+
+
+def test_caller_runs_reps_beside_its_children(monkeypatch):
+    # A child may run a rep only once the caller has finished one, so the
+    # test passes whatever the scheduling, and fails if the caller only waits.
+    caller = os.getpid()
+    caller_done = multiprocessing.get_context("fork").Event()
+    caller_seeds = []
+    run_rep = harness._run_rep
+
+    def gated(task):
+        if os.getpid() != caller:
+            assert caller_done.wait(timeout=120), "the caller ran no rep"
+            return run_rep(task)
+        record = run_rep(task)
+        caller_seeds.append(record.seed)
+        caller_done.set()
+        return record
+
+    monkeypatch.setattr(harness, "_run_rep", gated)
+    two = run_suite(MIXED_SUITE, workers=2)
+    assert caller_seeds
+    monkeypatch.setattr(harness, "_run_rep", run_rep)
+    serial = run_suite(MIXED_SUITE, workers=1)
+    assert rep_fields(two) == rep_fields(serial) == rep_fields(run_suite(MIXED_SUITE, workers=3))
+    assert cell_fields(two) == cell_fields(serial)
+
+
+def test_dead_child_surfaces_as_broken_pool(monkeypatch):
+    # The caller waits, at its first rep, for a child to take a rep and die.
+    caller = os.getpid()
+    child_took_rep = multiprocessing.get_context("fork").Event()
+    run_rep = harness._run_rep
+
+    def child_dies(task):
+        if os.getpid() != caller:
+            child_took_rep.set()
+            os._exit(1)
+        assert child_took_rep.wait(timeout=120), "no child took a rep"
+        return run_rep(task)
+
+    monkeypatch.setattr(harness, "_run_rep", child_dies)
+    with pytest.raises(BrokenProcessPool):
+        run_suite(MIXED_SUITE, workers=2)
+
+
+def test_shared_index_hands_out_each_rep_once():
+    # Many cheap reps on more processes than cores: an index taken twice or
+    # skipped would drop, repeat or shift a rep against the serial run.
+    cells = [CellSpec(n=8, m=5, k=2, reps=30, base_seed=s) for s in range(4)]
+    assert rep_fields(run_suite(cells, workers=5)) == rep_fields(run_suite(cells))
 
 
 @pytest.fixture
@@ -256,13 +309,14 @@ def test_worker_cap_itself_accepted(monkeypatch):
 
 
 def test_import_loads_neither_sampler_nor_pool():
-    # numpy.random is loaded on the first sample and the process pool on the
-    # first parallel cell, not by `import secthresh`.
+    # numpy.random is loaded on the first sample, and the process pool and
+    # multiprocessing on the first parallel suite, not by `import secthresh`.
     src = str(Path(secthresh.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     code = ("import sys, secthresh; "
-            "print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])")
+            "print([m for m in ('numpy.random', 'concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
