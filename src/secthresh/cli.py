@@ -41,10 +41,12 @@ _CURVE_ORDER = (CurveKind.WeakExact, CurveKind.SectionalLower, CurveKind.Section
 
 
 def _check_writable(*paths: Optional[str]) -> None:
-    """Refuse an unwritable output path before any work; skip an empty one."""
+    """Refuse an empty or unwritable output path before any work; skip None."""
     for path in paths:
-        if not path:
+        if path is None:
             continue
+        if not path:
+            raise DomainError(f"cannot write {path!r}: empty path")
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise DomainError(f"cannot write {path!r}: no directory {directory!r}")

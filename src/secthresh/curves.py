@@ -21,11 +21,11 @@ bisection, and every returned root is certified by the residual held at it.
 The scan refuses to proceed if it sees more than one sign change, so an
 unexpected multi-root geometry fails loudly instead of returning garbage.
 
-The domain checks run once per root, not once per point: ``weak_beta`` and
-``sec_upper_beta`` check alpha and ``xi_sk`` before the scan, and every scan
-and bisection point lies in ``[1e-6, alpha - 1e-6]`` by construction, so the
-solvers evaluate unchecked residuals.  The public ``weak_residual`` and
-``sec_upper_residual`` keep their checks.  A root costs about 425 residual
+Each input is checked once, where it enters, and nothing that a bracket
+guarantees is checked again; a non-number raises :class:`DomainError` like a
+value out of range.  ``weak_beta`` and ``sec_upper_beta`` check alpha and
+``xi_sk`` before the scan, whose points lie in ``[1e-6, alpha - 1e-6]``, and
+then evaluate the unchecked ``_residual``.  A root costs about 425 residual
 evaluations, each one ``erfinv`` call, looked up in this module.
 
 Only the sec-upper curve depends on ``xi_sk``, so :func:`emit_curves` solves
@@ -44,6 +44,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -100,9 +101,35 @@ class CurveSet:
         return [p for p in self.points if p.kind is kind]
 
 
-def _check_open_region(alpha: float, beta: float) -> None:
+def _real(x: object, what: str) -> float:
+    """x as a float; anything but a real number that fits a float is refused."""
+    if isinstance(x, numbers.Real):
+        try:
+            return float(x)
+        except OverflowError:  # an int past the float range
+            pass
+    raise DomainError(f"{what} must be a real number, got {x!r}")
+
+
+def _check_open_region(alpha: float, beta: float) -> tuple[float, float]:
+    alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
     if not (0.0 < beta < alpha < 1.0):
         raise DomainError(f"need 0 < beta < alpha < 1, got alpha={alpha!r} beta={beta!r}")
+    return alpha, beta
+
+
+def _check_xi_sk(xi_sk: float) -> float:
+    xi = _real(xi_sk, "xi_sk")
+    if not (math.isfinite(xi) and xi >= 0.0):
+        raise DomainError(f"xi_sk must be finite and >= 0, got {xi_sk!r}")
+    return xi
+
+
+def _residual(alpha: float, beta: float, denom: float) -> float:
+    # Unchecked: callers guarantee 0 < beta < alpha < 1.  The weak equation
+    # has denom = alpha, the sectional upper bound mg_ratio_closed_form.
+    q = erfinv((1.0 - alpha) / (1.0 - beta))
+    return (1.0 - beta) * SQRT_2_PI * math.exp(-q * q) / denom - SQRT_2 * q
 
 
 def weak_residual(alpha: float, beta: float) -> float:
@@ -111,23 +138,8 @@ def weak_residual(alpha: float, beta: float) -> float:
     Positive residual means beta is below the weak threshold at this alpha;
     the threshold itself is the root in beta.
     """
-    _check_open_region(alpha, beta)
-    return _weak_residual(alpha, beta)
-
-
-def _weak_residual(alpha: float, beta: float) -> float:
-    # Unchecked: callers guarantee 0 < beta < alpha < 1.
-    q = erfinv((1.0 - alpha) / (1.0 - beta))
-    return (1.0 - beta) * SQRT_2_PI * math.exp(-q * q) / alpha - SQRT_2 * q
-
-
-def _check_xi_sk(xi_sk: float) -> None:
-    try:
-        ok = math.isfinite(xi_sk) and xi_sk >= 0.0
-    except (TypeError, OverflowError):  # not a real number, or an int past float
-        ok = False
-    if not ok:
-        raise DomainError(f"xi_sk must be finite and >= 0, got {xi_sk!r}")
+    alpha, beta = _check_open_region(alpha, beta)
+    return _residual(alpha, beta, alpha)
 
 
 def mg_ratio_closed_form(alpha: float, beta: float, xi_sk: float) -> float:
@@ -142,16 +154,9 @@ def mg_ratio_closed_form(alpha: float, beta: float, xi_sk: float) -> float:
 
 def sec_upper_residual(alpha: float, beta: float, xi_sk: float = XI_SK_DEFAULT) -> float:
     """Weak residual with alpha replaced by the inflated denominator."""
-    _check_open_region(alpha, beta)
-    _check_xi_sk(xi_sk)
-    return _sec_upper_residual(alpha, beta, xi_sk)
-
-
-def _sec_upper_residual(alpha: float, beta: float, xi_sk: float) -> float:
-    # Unchecked: callers guarantee 0 < beta < alpha < 1 and a finite xi_sk >= 0.
-    q = erfinv((1.0 - alpha) / (1.0 - beta))
-    denom = mg_ratio_closed_form(alpha, beta, xi_sk)
-    return (1.0 - beta) * SQRT_2_PI * math.exp(-q * q) / denom - SQRT_2 * q
+    alpha, beta = _check_open_region(alpha, beta)
+    xi_sk = _check_xi_sk(xi_sk)
+    return _residual(alpha, beta, mg_ratio_closed_form(alpha, beta, xi_sk))
 
 
 def _sec_lower_theta_residual(theta: float, beta: float) -> float:
@@ -233,27 +238,29 @@ def _root(f: Callable[[float], float], lo: float, hi: float, resid_tol: float) -
     return _bisect(f, a, b, fa, fb, resid_tol)
 
 
-def _beta_bracket(alpha: float) -> tuple[float, float]:
-    """The beta interval a root solve at alpha scans; it lies inside (0, alpha)."""
+def _beta_bracket(alpha: float) -> tuple[float, float, float]:
+    """Alpha as a float, and the beta interval inside (0, alpha) a root scans."""
+    alpha = _real(alpha, "alpha")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     lo, hi = 1e-6, alpha - _BRACKET_MARGIN
     if hi <= lo:
         raise DomainError(f"alpha={alpha!r} leaves no beta bracket")
-    return lo, hi
+    return alpha, lo, hi
 
 
 def weak_beta(alpha: float) -> float:
     """Root in beta of the weak-threshold equation at the given alpha."""
-    lo, hi = _beta_bracket(alpha)
-    return _root(lambda b: _weak_residual(alpha, b), lo, hi, resid_tol=1e-9)
+    alpha, lo, hi = _beta_bracket(alpha)
+    return _root(lambda b: _residual(alpha, b, alpha), lo, hi, resid_tol=1e-9)
 
 
 def sec_upper_beta(alpha: float, xi_sk: float = XI_SK_DEFAULT) -> float:
     """Root in beta of the sectional upper-bound equation at the given alpha."""
-    lo, hi = _beta_bracket(alpha)
-    _check_xi_sk(xi_sk)
-    return _root(lambda b: _sec_upper_residual(alpha, b, xi_sk), lo, hi, resid_tol=1e-9)
+    alpha, lo, hi = _beta_bracket(alpha)
+    xi_sk = _check_xi_sk(xi_sk)
+    return _root(lambda b: _residual(alpha, b, mg_ratio_closed_form(alpha, b, xi_sk)),
+                 lo, hi, resid_tol=1e-9)
 
 
 def sec_lower_solve(beta: float) -> SectionalLowerSolve:
@@ -264,19 +271,17 @@ def sec_lower_solve(beta: float) -> SectionalLowerSolve:
     closed-form bound ``alpha_bound``.  The pair traces the lower-bound curve
     parametrically: beta is the ordinate, alpha_bound the abscissa.
     """
+    beta = _real(beta, "beta")
     if not (0.0 < beta < 0.5):
         # At beta >= 1/2 the theta equation's numerator is negative for every
         # theta in (beta, 1), so the system has no solution at all.
         raise DomainError(f"beta must lie in (0, 0.5), got {beta!r}")
     theta = _root(lambda t: _sec_lower_theta_residual(t, beta),
                   beta + 1e-9, 1.0 - 1e-9, resid_tol=1e-10)
-    if not (beta <= theta <= 1.0):
-        raise ConsistencyError(f"theta_hat={theta!r} escaped [beta, 1]")
     alpha_bound = _sec_lower_alpha_bound(theta, beta)
     if not (beta < alpha_bound < 1.0):
-        raise ConsistencyError(
-            f"alpha_bound={alpha_bound!r} outside (beta, 1) at beta={beta!r}"
-        )
+        raise ConsistencyError(f"alpha_bound={alpha_bound!r} outside (beta, 1) "
+                               f"at beta={beta!r}")
     return SectionalLowerSolve(beta=beta, theta_hat=theta, alpha_bound=alpha_bound)
 
 
@@ -284,24 +289,15 @@ def sec_lower_solve(beta: float) -> SectionalLowerSolve:
 def _sec_lower_sweep() -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Trace the lower-bound curve parametrically: beta grid -> alpha grid.
 
-    Cached for the life of the process; tuples keep the shared result
-    immutable.
+    Every beta must solve; a failed solve fails the sweep.  Cached for the
+    life of the process; tuples keep the shared result immutable.
     """
-    alphas: list[float] = []
-    betas: list[float] = []
-    for i in range(_SWEEP_POINTS):
-        beta = 1e-4 + (0.4999 - 1e-4) * i / (_SWEEP_POINTS - 1)
-        try:
-            solve = sec_lower_solve(beta)
-        except NumericalError:
-            continue
-        alphas.append(solve.alpha_bound)
-        betas.append(beta)
-    if len(alphas) < 2:
-        raise NumericalError("sectional lower-bound sweep produced < 2 points")
+    betas = tuple(1e-4 + (0.4999 - 1e-4) * i / (_SWEEP_POINTS - 1)
+                  for i in range(_SWEEP_POINTS))
+    alphas = tuple(sec_lower_solve(beta).alpha_bound for beta in betas)
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise ConsistencyError("sectional lower-bound sweep is not monotone in alpha")
-    return tuple(alphas), tuple(betas)
+    return alphas, betas
 
 
 def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -311,8 +307,6 @@ def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
     j = bisect.bisect_left(xs, x)
     if j == 0:
         return ys[0]
-    if xs[j - 1] == x:
-        return ys[j - 1]
     t = (x - xs[j - 1]) / (xs[j] - xs[j - 1])
     return ys[j - 1] + t * (ys[j] - ys[j - 1])
 
@@ -329,10 +323,7 @@ def _xi_free_point(alpha: float) -> tuple[float, float]:
 
 
 def _grid_alpha(a: object) -> float:
-    try:
-        alpha = float(a)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"grid alpha {a!r} is not a number") from None
+    alpha = _real(a, "grid alpha")
     if not (0.02 < alpha < 0.98):
         raise DomainError(f"grid alpha {alpha!r} outside supported range (0.02, 0.98)")
     return alpha
@@ -348,7 +339,7 @@ def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT) -> CurveS
     alpha (see the module docstring).  Emitted points are checked against the
     ordering invariant sec-lower <= sec-upper <= weak.
     """
-    _check_xi_sk(xi_sk)
+    xi_sk = _check_xi_sk(xi_sk)
     grid = [_grid_alpha(a) for a in alphas]
     out = CurveSet()
     if not grid:
@@ -361,15 +352,9 @@ def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT) -> CurveS
         except NumericalError as exc:
             raise NumericalError(f"curve solve failed at alpha={a!r}: {exc}") from exc
         if not (bl <= bu + 1e-12 and bu <= bw + 1e-12):
-            raise ConsistencyError(
-                f"ordering violated at alpha={a!r}: sec-lower={bl!r} sec-upper={bu!r} weak={bw!r}"
-            )
-        for beta, kind in ((bw, CurveKind.WeakExact),
-                           (bl, CurveKind.SectionalLower),
+            raise ConsistencyError(f"ordering violated at alpha={a!r}: sec-lower={bl!r} "
+                                   f"sec-upper={bu!r} weak={bw!r}")
+        for beta, kind in ((bw, CurveKind.WeakExact), (bl, CurveKind.SectionalLower),
                            (bu, CurveKind.SectionalUpper)):
-            if not (0.0 < beta < a < 1.0):
-                raise ConsistencyError(
-                    f"emitted point out of range: alpha={a!r} beta={beta!r} kind={kind}"
-                )
             out.points.append(ThresholdPoint(alpha=a, beta=beta, kind=kind))
     return out

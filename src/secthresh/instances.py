@@ -24,6 +24,12 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_N = 10_000
 
 
+def _check_seed(seed: int, name: str) -> None:
+    """The seed rule: 0 <= seed < 2**64, so no two seeds alias one stream."""
+    if not (0 <= seed < 2**64):
+        raise DomainError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+
+
 def _check_dimensions(n: int, m: int) -> None:
     """The dimension rule for an m x n instance: 0 < m < n <= MAX_N."""
     if n > MAX_N:
@@ -92,7 +98,7 @@ def _philox_normals(seed: int, count: int) -> np.ndarray:
     from numpy.random import Philox
 
     pairs = (count + 1) // 2
-    raw = Philox(key=seed & _MASK64).random_raw(2 * pairs)
+    raw = Philox(key=seed).random_raw(2 * pairs)
     # Each step after the first works in place, in the order of
     # radius = sqrt(-2 log u1) and angle = 2 pi u2, so the bits do not change.
     # The transcendental functions see contiguous arrays only.
@@ -119,8 +125,7 @@ def sample_gaussian_matrix(shape: ProblemShape, seed: int) -> GaussianInstance:
     Entries fill in row-major order from the seeded stream, so the same
     arguments reproduce the same matrix bit-for-bit.
     """
-    if not (0 <= seed < 2**64):
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    _check_seed(seed, "seed")
     entries = _philox_normals(seed, shape.m * shape.n)
     A = entries.reshape(shape.m, shape.n)
     A.setflags(write=False)
@@ -169,6 +174,7 @@ def derive_rep_seed(base_seed: int, rep_index: int) -> int:
     and deterministic, so per-rep streams can be pre-derived regardless of
     worker scheduling.
     """
+    _check_seed(base_seed, "base_seed")
     if rep_index < 0:
         raise DomainError(f"rep_index must be >= 0, got {rep_index}")
     x = (base_seed + (rep_index + 1) * 0x9E3779B97F4A7C15) & _MASK64

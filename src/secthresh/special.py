@@ -71,12 +71,13 @@ def erfinv(p: float) -> float:
     Raises
     ------
     DomainError
-        If |p| >= 1 or p is not finite.
+        If |p| >= 1, or p is nan or not a real number.
     """
-    if not -1.0 < p < 1.0:  # also refuses nan
-        raise DomainError(f"erfinv requires -1 < p < 1, got {p!r}")
-    if p == 0.0:
-        return 0.0
+    try:
+        if not -1.0 < p < 1.0:  # also refuses nan
+            raise DomainError(f"erfinv requires -1 < p < 1, got {p!r}")
+    except TypeError:  # not a real number
+        raise DomainError(f"erfinv requires a real p, got {p!r}") from None
     if p < 0.0:
         return -erfinv(-p)
     # u rounds to 1 for p within 2^-53 of 1; Phi^{-1}(u) = -Phi^{-1}((1 - p) / 2).

@@ -228,6 +228,18 @@ class TestSimulateCommand:
         assert captured.err.startswith("error: argument --")
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_before_any_rep(self, tmp_path, capsys, nothing_runs, seed):
+        # Masked to 64 bits, -1 would alias 2**64 - 1 and 2**64 would alias 0.
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--cell", "30,24,12", "--reps", "3", "--seed", seed,
+                       "--workers", "1", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: base_seed must be a 64-bit unsigned integer, "
+                                f"got {seed}\n")
+        assert not out.exists()
+
     def test_inline_cell_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert run_cli("simulate", "--cell", "30,24,10", "--reps", "2",
@@ -332,6 +344,26 @@ class TestUnwritableOutput:
                        "--svg", str(svg)) == 2
         self.assert_one_line(capsys, svg)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["curves", "--out", ""],
+        ["curves", "--out", "OUT", "--svg", ""],
+        ["simulate", "--cell", "30,24,10", "--reps", "1", "--workers", "1", "--out", ""],
+        ["tau", "--n", "30", "--m", "24", "--k", "12", "--emit-certificate", ""],
+        ["certify", "--matrix", "M", "--k", "1", "--emit-certificate", ""],
+    ], ids=["curves-out", "curves-svg", "simulate", "tau", "certify"])
+    def test_empty_path_before_any_work(self, tmp_path, capsys, monkeypatch, nothing_runs,
+                                        argv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the curves were solved before the paths were checked")
+
+        monkeypatch.setattr(cli, "emit_curves", unreachable)
+        mat = tmp_path / "m.csv"
+        mat.write_text("2,1\n")
+        paths = {"OUT": str(tmp_path / "c.csv"), "M": str(mat)}
+        assert run_cli(*[paths.get(a, a) for a in argv]) == 2
+        self.assert_one_line(capsys, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
     def test_tau_certificate_missing_directory(self, tmp_path, capsys, nothing_runs):
         cert = tmp_path / "missing" / "c.json"

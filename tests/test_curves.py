@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from secthresh import (XI_SK_DEFAULT, ConsistencyError, CurveKind, DomainError,
-                       NumericalError, emit_curves, sec_lower_solve, sec_upper_beta,
-                       sec_upper_residual, weak_beta, weak_residual)
+                       NumericalError, emit_curves, erfinv, sec_lower_solve,
+                       sec_upper_beta, sec_upper_residual, weak_beta, weak_residual)
 import secthresh.curves as curves
 from secthresh.curves import mg_ratio_closed_form
 
@@ -226,6 +226,28 @@ class TestSecLowerSweepCache:
         warm = emit_curves(self.GRID)
         assert cold.points == warm.points
 
+    def test_failed_beta_fails_the_sweep(self, monkeypatch):
+        calls = []
+        original = curves.sec_lower_solve
+
+        def fails_once(beta):
+            calls.append(beta)
+            if len(calls) == 300:
+                raise NumericalError("no sign change at one beta")
+            return original(beta)
+
+        curves._sec_lower_sweep.cache_clear()
+        curves._xi_free_point.cache_clear()
+        monkeypatch.setattr(curves, "sec_lower_solve", fails_once)
+        try:
+            with pytest.raises(NumericalError, match="at one beta"):
+                emit_curves(self.GRID)
+            assert len(calls) == 300
+            assert curves._sec_lower_sweep.cache_info().currsize == 0
+        finally:
+            curves._sec_lower_sweep.cache_clear()
+            curves._xi_free_point.cache_clear()
+
     def test_shared_sweep_is_immutable(self):
         alphas, betas = curves._sec_lower_sweep()
         assert isinstance(alphas, tuple) and isinstance(betas, tuple)
@@ -321,6 +343,20 @@ class TestDomainChecksBeforeResiduals:
     def test_alpha_not_a_number(self, alpha):
         with pytest.raises(DomainError):
             emit_curves([alpha])
+
+    @pytest.mark.parametrize("value", ["x", None, "0.5", 1j],
+                             ids=["str", "None", "numeric-str", "complex"])
+    @pytest.mark.parametrize("entry", [
+        weak_beta, sec_upper_beta, sec_lower_solve, erfinv,
+        lambda v: emit_curves([v]),
+        lambda v: weak_residual(v, 0.2), lambda v: weak_residual(0.5, v),
+        lambda v: sec_upper_residual(v, 0.2), lambda v: sec_upper_residual(0.5, v),
+    ], ids=["weak_beta", "sec_upper_beta", "sec_lower_solve", "erfinv", "emit_curves",
+            "weak_residual-alpha", "weak_residual-beta", "sec_upper_residual-alpha",
+            "sec_upper_residual-beta"])
+    def test_input_not_a_number(self, entry, value):
+        with pytest.raises(DomainError):
+            entry(value)
 
     @pytest.mark.parametrize("xi", [math.nan, math.inf, -1.0])
     def test_bad_xi_sk(self, xi):

@@ -141,3 +141,9 @@ class TestDeriveRepSeed:
     def test_negative_rep_rejected(self):
         with pytest.raises(DomainError):
             derive_rep_seed(1, -1)
+
+    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    def test_base_seed_outside_64_bits_rejected(self, base_seed):
+        # Masking would alias -1 to 2**64 - 1 and 2**64 to 0.
+        with pytest.raises(DomainError, match="base_seed"):
+            derive_rep_seed(base_seed, 0)
