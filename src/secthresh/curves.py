@@ -44,13 +44,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError, NumericalError
-from .special import erfinv
+from .special import _real, erfinv
 
 #: Scaled Sherrington-Kirkpatrick ground-state energy constant used by the
 #: sectional upper bound.  Exposed so sensitivity to it can be explored.
@@ -99,16 +98,6 @@ class CurveSet:
 
     def by_kind(self, kind: CurveKind) -> list[ThresholdPoint]:
         return [p for p in self.points if p.kind is kind]
-
-
-def _real(x: object, what: str) -> float:
-    """x as a float; anything but a real number that fits a float is refused."""
-    if isinstance(x, numbers.Real):
-        try:
-            return float(x)
-        except OverflowError:  # an int past the float range
-            pass
-    raise DomainError(f"{what} must be a real number, got {x!r}")
 
 
 def _check_open_region(alpha: float, beta: float) -> tuple[float, float]:

@@ -7,7 +7,10 @@ calling process and ``workers - 1`` forked children, each taking the next rep
 from one shared index, so every process stays busy across cell boundaries and
 none sits idle waiting for the others.  Per-rep seeds are pre-derived from the
 cell's base seed, so results are identical no matter how the work is
-scheduled or how many processes run it.  Each rep is timed here, once, around
+scheduled or how many processes run it.  Each process samples its reps from
+the Philox4x64-10 stream that ``instances`` computes in numpy integer
+arithmetic, bit for bit numpy's ``Philox(key=seed)``, so no process loads
+numpy's ``random`` package.  Each rep is timed here, once, around
 ``estimate_failure``: the factorization, the search and the certificate
 checks, not the sampling.  A cell keeps only its reps; its counts and means
 are computed from them.
@@ -218,10 +221,6 @@ def run_suite(cells: Sequence[CellSpec], workers: int = 1) -> list[CellResult]:
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-
-        # Every process samples instances, which needs numpy.random; load it
-        # before the children fork so that they share its pages.
-        import numpy.random  # noqa: F401
 
         fork = multiprocessing.get_context("fork")
         index = fork.Value("q", 0)

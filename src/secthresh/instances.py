@@ -1,10 +1,13 @@
 """Seeded Gaussian instances and their null-space geometry.
 
-Matrices are generated from a counter-based random stream (Philox) through an
+Matrices are generated from a counter-based random stream through an
 explicit Box-Muller transform, so a (shape, seed) pair yields bit-identical
-entries on every platform and under any degree of parallelism.  The SVD of an
-instance provides both an orthonormal basis of the row space and one of the
-null space; the latter induces the projector Q used by the dual solver.
+entries on every platform and under any degree of parallelism.  The stream is
+Philox4x64-10 computed here in numpy integer arithmetic: bit for bit the words
+of numpy's ``Philox(key=seed)``, with no process loading numpy's ``random``
+package.  The SVD of an instance provides both an orthonormal basis of the row
+space and one of the null space; the latter induces the projector Q used by
+the dual solver.
 """
 
 from __future__ import annotations
@@ -87,18 +90,80 @@ class NullProjector:
         return self.Dperp.T @ (self.Dperp @ z)
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC 2011), numpy's ``Philox`` bit generator.  Each round multiplies lanes
+# 0 and 2 by these constants; the key is bumped by a Weyl step between rounds.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# Blocks encrypted in one pass: the round buffers take 256 KB each, whatever
+# the count, and every instance of the built-in tables takes one pass.
+_PHILOX_CHUNK = 2**14
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M_LO = _PHILOX_M & _LO32
+_PHILOX_M_HI = _PHILOX_M >> _SHIFT32
+
+
+def _philox_raw(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` words of numpy's ``Philox(key=seed).random_raw``.
+
+    The key is [seed mod 2**64, seed >> 64].  Block j (from 0) encrypts the
+    counter [j + 1, 0, 0, 0], as numpy steps the counter before its first
+    block, and yields its lanes 0..3 in order.  Every uint64 operation acts on
+    arrays, where numpy wraps modulo 2**64 without a warning, and each 64 x 64
+    -> 128-bit product is formed from 32-bit halves.
+    """
+    blocks = (count + 3) // 4
+    key = (seed & _MASK64, seed >> 64)
+    keys = np.array([[(k + r * bump) & _MASK64 for k, bump in zip(key, _PHILOX_BUMP)]
+                     for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)[:, :, None]
+    words = np.empty((blocks, 4), dtype=np.uint64)
+    for start in range(0, blocks, _PHILOX_CHUNK):
+        stop = min(start + _PHILOX_CHUNK, blocks)
+        # The rows of `even` are lanes 0 and 2 of each block, those of `odd`
+        # lanes 1 and 3.
+        even = np.zeros((2, stop - start), dtype=np.uint64)
+        even[0] = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        odd = np.zeros_like(even)
+        lo, mid, cross, half = (np.empty_like(even) for _ in range(4))
+        for key in keys:
+            # hi * 2**64 + lo = M * even; hi builds up in even's buffer.
+            np.multiply(even, _PHILOX_M, out=lo)
+            np.bitwise_and(even, _LO32, out=half)
+            hi = even
+            hi >>= _SHIFT32
+            np.multiply(half, _PHILOX_M_LO, out=mid)
+            mid >>= _SHIFT32
+            half *= _PHILOX_M_HI
+            mid += half
+            np.multiply(hi, _PHILOX_M_LO, out=cross)
+            np.bitwise_and(mid, _LO32, out=half)
+            cross += half
+            hi *= _PHILOX_M_HI
+            mid >>= _SHIFT32
+            hi += mid
+            cross >>= _SHIFT32
+            hi += cross
+            # With hiL, loL the halves of lane L's product, lanes 0..3 become
+            # hi2 ^ lane1 ^ key0, lo2, hi0 ^ lane3 ^ key1 and lo0.
+            even = hi[::-1]
+            even ^= odd
+            even ^= key
+            odd, lo = lo[::-1], odd
+        words[start:stop, 0::2] = even.T
+        words[start:stop, 1::2] = odd.T
+    return words.ravel()[:count]
+
+
 def _philox_normals(seed: int, count: int) -> np.ndarray:
     """Standard normals from a Philox counter stream via Box-Muller.
 
     Each 64-bit word maps to a uniform; word pairs map to normal pairs.  The
     first uniform is shifted into (0, 1] so the logarithm never sees zero.
     """
-    # Imported here, not at module level, so that `import secthresh` does not
-    # load numpy.random for callers that never sample.
-    from numpy.random import Philox
-
     pairs = (count + 1) // 2
-    raw = Philox(key=seed).random_raw(2 * pairs)
+    raw = _philox_raw(seed, 2 * pairs)
     # Each step after the first works in place, in the order of
     # radius = sqrt(-2 log u1) and angle = 2 pi u2, so the bits do not change.
     # The transcendental functions see contiguous arrays only.

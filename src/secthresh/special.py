@@ -15,6 +15,7 @@ p > 0.5, erf otherwise) is chosen once for both steps.
 from __future__ import annotations
 
 import math
+import numbers
 from math import erf, erfc, exp, log, sqrt
 
 from .errors import DomainError
@@ -54,6 +55,16 @@ def _norm_quantile(p: float) -> float:
         ((((_B0 * r + _B1) * r + _B2) * r + _B3) * r + _B4) * r + 1.0)
 
 
+def _real(x: object, what: str) -> float:
+    """x as a float; anything but a real number that fits a float is refused."""
+    if isinstance(x, numbers.Real):
+        try:
+            return float(x)
+        except OverflowError:  # an int past the float range
+            pass
+    raise DomainError(f"{what} must be a real number, got {x!r}")
+
+
 def erfinv(p: float) -> float:
     """Inverse error function: the x with erf(x) = p, for -1 < p < 1.
 
@@ -71,13 +82,13 @@ def erfinv(p: float) -> float:
     Raises
     ------
     DomainError
-        If |p| >= 1, or p is nan or not a real number.
+        If |p| >= 1, or p is nan or not a real number.  Any other real number,
+        such as a numpy float32, is taken as the Python float it converts to.
     """
-    try:
-        if not -1.0 < p < 1.0:  # also refuses nan
-            raise DomainError(f"erfinv requires -1 < p < 1, got {p!r}")
-    except TypeError:  # not a real number
-        raise DomainError(f"erfinv requires a real p, got {p!r}") from None
+    if type(p) is not float:  # the curve solvers pass floats: one test for them
+        p = _real(p, "erfinv's p")
+    if not -1.0 < p < 1.0:  # also refuses nan
+        raise DomainError(f"erfinv requires -1 < p < 1, got {p!r}")
     if p < 0.0:
         return -erfinv(-p)
     # u rounds to 1 for p within 2^-53 of 1; Phi^{-1}(u) = -Phi^{-1}((1 - p) / 2).

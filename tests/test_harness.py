@@ -308,16 +308,35 @@ def test_worker_cap_itself_accepted(monkeypatch):
     assert len(cell.per_rep) == 1
 
 
-def test_import_loads_neither_sampler_nor_pool():
-    # numpy.random is loaded on the first sample, and the process pool and
-    # multiprocessing on the first parallel suite, not by `import secthresh`.
+def _run_child(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout's package."""
     src = str(Path(secthresh.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    code = ("import sys, secthresh; "
-            "print([m for m in ('numpy.random', 'concurrent.futures', 'multiprocessing') "
-            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_neither_sampler_nor_pool():
+    # No process loads numpy.random (test_sampling_and_pool_never_load_numpy_random);
+    # the process pool and multiprocessing load on the first parallel suite,
+    # not on `import secthresh`.
+    code = ("import sys, secthresh; "
+            "print([m for m in ('numpy.random', 'concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules])")
+    assert _run_child(code) == "[]"
+
+
+def test_sampling_and_pool_never_load_numpy_random():
+    # The Philox stream is computed in numpy integer arithmetic, so neither a
+    # sample nor a two-process suite, whose child forks from this process,
+    # loads numpy.random.
+    code = ("import sys; "
+            "from secthresh import CellSpec, ProblemShape, run_suite, sample_gaussian_matrix; "
+            "sample_gaussian_matrix(ProblemShape(n=30, m=12, k=3), 5); "
+            "[cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=2)], workers=2); "
+            "assert len(cell.per_rep) == 2; "
+            "print('numpy.random' in sys.modules)")
+    assert _run_child(code) == "False"

@@ -5,7 +5,7 @@ import pytest
 
 from secthresh import (DomainError, NumericalError, ProblemShape,
                        derive_rep_seed, null_projector, sample_gaussian_matrix)
-from secthresh.instances import MAX_N
+from secthresh.instances import _PHILOX_CHUNK, MAX_N, _philox_raw
 
 
 class TestProblemShape:
@@ -63,6 +63,19 @@ class TestSampleGaussianMatrix:
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError):
             sample_gaussian_matrix(ProblemShape(n=8, m=3, k=1), -1)
+
+
+class TestPhilox:
+    # numpy.random is the reference here and is loaded by no package module.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15])
+    @pytest.mark.parametrize("count", [*range(1, 10), 9 * 23, 300 * 180,
+                                       4 * _PHILOX_CHUNK + 5])
+    def test_words_match_numpy(self, seed, count):
+        # 9 * 23 is an odd m * n; the last count takes a second pass of blocks.
+        from numpy.random import Philox
+
+        want = Philox(key=seed).random_raw(count)
+        np.testing.assert_array_equal(_philox_raw(seed, count), want)
 
 
 class TestNullProjector:

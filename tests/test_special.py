@@ -1,5 +1,8 @@
 import hashlib
 import math
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +52,18 @@ class TestErfinv:
         for bad in (-1.0, 1.0, 1.5, float("nan")):
             with pytest.raises(DomainError):
                 erfinv(bad)
+
+    @pytest.mark.parametrize("bad", [Decimal("0.5"), np.array([0.5]), "0.5", None])
+    def test_non_real_named(self, bad):
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            erfinv(bad)
+
+    @pytest.mark.parametrize("p", [np.float32(0.5), np.float64(0.5), Fraction(1, 2)])
+    def test_real_taken_as_python_float(self, p):
+        # Computed in double precision, not in the input's type.
+        got = erfinv(p)
+        assert type(got) is float
+        assert got == erfinv(0.5)
 
     def test_last_float_below_one(self):
         # (p + 1) / 2 rounds to 1 here, so the seed comes from the lower tail;
