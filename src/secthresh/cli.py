@@ -192,10 +192,11 @@ def cmd_tau(args: argparse.Namespace) -> int:
 
 
 def _suite_int(value) -> int:
-    # int() would truncate 30.7 to 30; a suite number must be integral.
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    # A suite number is a JSON int or an integral float.  int() would read
+    # true as 1, "2" as 2 and truncate 30.7 to 30.
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def _parse_cell(text: str) -> tuple[int, int, int]:
@@ -223,6 +224,9 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
     cells = []
     for entry in raw:
         try:
+            unknown = set(entry) - {"n", "m", "k", "reps"}
+            if unknown:
+                raise ValueError(f"unknown key {min(map(repr, unknown))}")
             cells.append(CellSpec(n=_suite_int(entry["n"]), m=_suite_int(entry["m"]),
                                   k=_suite_int(entry["k"]),
                                   reps=_suite_int(entry.get("reps", args.reps)),

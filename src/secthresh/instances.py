@@ -1,18 +1,17 @@
 """Seeded Gaussian instances and their null-space geometry.
 
-Matrices are generated from a counter-based random stream through an
-explicit Box-Muller transform, so a (shape, seed) pair yields bit-identical
-entries on every platform and under any degree of parallelism.  The stream is
-Philox4x64-10 computed here in numpy integer arithmetic: bit for bit the words
-of numpy's ``Philox(key=seed)``, with no process loading numpy's ``random``
-package.  The SVD of an instance provides both an orthonormal basis of the row
-space and one of the null space; the latter induces the projector Q used by
-the dual solver.
+An instance's entries are standard normals made by Box-Muller from the words
+of a Philox4x64-10 stream, computed in numpy integer arithmetic without
+numpy's ``random`` package.  A (shape, seed) pair thus gives the same bits on
+every platform and at any degree of parallelism.  The SVD of an instance gives
+orthonormal bases of its row space and its null space; the latter induces the
+projector Q used by the dual solver.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,15 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_N = 10_000
 
 
-def _check_seed(seed: int, name: str) -> None:
-    """The seed rule: 0 <= seed < 2**64, so no two seeds alias one stream."""
+def _check_seed(seed, name: str) -> int:
+    """The seed rule: an integer, not a bool, with 0 <= seed < 2**64, so no two
+    seeds (or rep indices) alias one stream.  Returns it as a Python int."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {seed!r}")
+    seed = int(seed)
     if not (0 <= seed < 2**64):
         raise DomainError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 def _check_dimensions(n: int, m: int) -> None:
@@ -53,14 +57,6 @@ class ProblemShape:
         _check_dimensions(self.n, self.m)
         if not (0 <= self.k <= self.n):
             raise DomainError(f"need 0 <= k <= n, got k={self.k}")
-
-    @property
-    def alpha(self) -> float:
-        return self.m / self.n
-
-    @property
-    def beta(self) -> float:
-        return self.k / self.n
 
 
 @dataclass(frozen=True)
@@ -91,96 +87,67 @@ class NullProjector:
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-# SC 2011), numpy's ``Philox`` bit generator.  Each round multiplies lanes
-# 0 and 2 by these constants; the key is bumped by a Weyl step between rounds.
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+# SC 2011), numpy's ``Philox`` bit generator: each round multiplies lanes 0
+# and 2 by these constants, and the key takes a Weyl step between rounds.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# Blocks encrypted in one pass: the round buffers take 256 KB each, whatever
-# the count, and every instance of the built-in tables takes one pass.
+# Blocks encrypted in one pass, so a lane array takes 128 KB at any count.
 _PHILOX_CHUNK = 2**14
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_PHILOX_M_LO = _PHILOX_M & _LO32
-_PHILOX_M_HI = _PHILOX_M >> _SHIFT32
+
+
+def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of each 128-bit product a * m, built from 32-bit
+    halves so that no partial product overflows 64 bits."""
+    a_lo, a_hi = a & _LO32, a >> _SHIFT32
+    m_lo, m_hi = m & _LO32, m >> _SHIFT32
+    mid = ((a_lo * m_lo) >> _SHIFT32) + a_lo * m_hi
+    cross = a_hi * m_lo + (mid & _LO32)
+    hi = a_hi * m_hi + (mid >> _SHIFT32) + (cross >> _SHIFT32)
+    return hi, a * m
 
 
 def _philox_raw(seed: int, count: int) -> np.ndarray:
     """The first ``count`` words of numpy's ``Philox(key=seed).random_raw``.
 
-    The key is [seed mod 2**64, seed >> 64].  Block j (from 0) encrypts the
-    counter [j + 1, 0, 0, 0], as numpy steps the counter before its first
-    block, and yields its lanes 0..3 in order.  Every uint64 operation acts on
-    arrays, where numpy wraps modulo 2**64 without a warning, and each 64 x 64
-    -> 128-bit product is formed from 32-bit halves.
+    Block j (from 0) encrypts the counter [j + 1, 0, 0, 0] under the key
+    [seed mod 2**64, seed >> 64] and yields its four words in order.  numpy
+    wraps uint64 array arithmetic modulo 2**64 without a warning.
     """
     blocks = (count + 3) // 4
-    key = (seed & _MASK64, seed >> 64)
-    keys = np.array([[(k + r * bump) & _MASK64 for k, bump in zip(key, _PHILOX_BUMP)]
-                     for r in range(_PHILOX_ROUNDS)], dtype=np.uint64)[:, :, None]
     words = np.empty((blocks, 4), dtype=np.uint64)
     for start in range(0, blocks, _PHILOX_CHUNK):
         stop = min(start + _PHILOX_CHUNK, blocks)
-        # The rows of `even` are lanes 0 and 2 of each block, those of `odd`
-        # lanes 1 and 3.
-        even = np.zeros((2, stop - start), dtype=np.uint64)
-        even[0] = np.arange(start + 1, stop + 1, dtype=np.uint64)
-        odd = np.zeros_like(even)
-        lo, mid, cross, half = (np.empty_like(even) for _ in range(4))
-        for key in keys:
-            # hi * 2**64 + lo = M * even; hi builds up in even's buffer.
-            np.multiply(even, _PHILOX_M, out=lo)
-            np.bitwise_and(even, _LO32, out=half)
-            hi = even
-            hi >>= _SHIFT32
-            np.multiply(half, _PHILOX_M_LO, out=mid)
-            mid >>= _SHIFT32
-            half *= _PHILOX_M_HI
-            mid += half
-            np.multiply(hi, _PHILOX_M_LO, out=cross)
-            np.bitwise_and(mid, _LO32, out=half)
-            cross += half
-            hi *= _PHILOX_M_HI
-            mid >>= _SHIFT32
-            hi += mid
-            cross >>= _SHIFT32
-            hi += cross
-            # With hiL, loL the halves of lane L's product, lanes 0..3 become
-            # hi2 ^ lane1 ^ key0, lo2, hi0 ^ lane3 ^ key1 and lo0.
-            even = hi[::-1]
-            even ^= odd
-            even ^= key
-            odd, lo = lo[::-1], odd
-        words[start:stop, 0::2] = even.T
-        words[start:stop, 1::2] = odd.T
+        x0 = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        x1 = x2 = x3 = np.zeros_like(x0)
+        k0, k1 = seed & _MASK64, seed >> 64
+        for _ in range(_PHILOX_ROUNDS):
+            hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+            hi2, lo2 = _mulhilo(x2, _PHILOX_M[1])
+            x0, x1, x2, x3 = hi2 ^ x1 ^ np.uint64(k0), lo2, hi0 ^ x3 ^ np.uint64(k1), lo0
+            k0 = (k0 + _PHILOX_BUMP[0]) & _MASK64
+            k1 = (k1 + _PHILOX_BUMP[1]) & _MASK64
+        words[start:stop] = np.column_stack((x0, x1, x2, x3))
     return words.ravel()[:count]
 
 
 def _philox_normals(seed: int, count: int) -> np.ndarray:
-    """Standard normals from a Philox counter stream via Box-Muller.
+    """Standard normals from the seed's Philox stream by Box-Muller.
 
-    Each 64-bit word maps to a uniform; word pairs map to normal pairs.  The
-    first uniform is shifted into (0, 1] so the logarithm never sees zero.
+    Each word keeps its top 53 bits as a uniform, and each pair of uniforms
+    (u1, u2) gives the pair of normals r cos(t), r sin(t), with
+    r = sqrt(-2 log u1) and t = 2 pi u2.  u1 is shifted into (0, 1] so the
+    logarithm never sees zero.
     """
     pairs = (count + 1) // 2
-    raw = _philox_raw(seed, 2 * pairs)
-    # Each step after the first works in place, in the order of
-    # radius = sqrt(-2 log u1) and angle = 2 pi u2, so the bits do not change.
-    # The transcendental functions see contiguous arrays only.
-    bits = raw[0::2] >> np.uint64(11)
-    bits += np.uint64(1)
-    radius = bits * _TWO_NEG53
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle = (raw[1::2] >> np.uint64(11)) * _TWO_NEG53
-    angle *= 2.0 * math.pi
-    del raw, bits
+    bits = _philox_raw(seed, 2 * pairs) >> np.uint64(11)
+    radius = np.sqrt(np.log((bits[0::2] + np.uint64(1)) * _TWO_NEG53) * -2.0)
+    angle = bits[1::2] * _TWO_NEG53 * (2.0 * math.pi)
     out = np.empty(2 * pairs)
-    trig = np.cos(angle)
-    np.multiply(radius, trig, out=out[0::2])
-    np.sin(angle, out=trig)
-    np.multiply(radius, trig, out=out[1::2])
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
     return out[:count]
 
 
@@ -190,7 +157,7 @@ def sample_gaussian_matrix(shape: ProblemShape, seed: int) -> GaussianInstance:
     Entries fill in row-major order from the seeded stream, so the same
     arguments reproduce the same matrix bit-for-bit.
     """
-    _check_seed(seed, "seed")
+    seed = _check_seed(seed, "seed")
     entries = _philox_normals(seed, shape.m * shape.n)
     A = entries.reshape(shape.m, shape.n)
     A.setflags(write=False)
@@ -239,9 +206,8 @@ def derive_rep_seed(base_seed: int, rep_index: int) -> int:
     and deterministic, so per-rep streams can be pre-derived regardless of
     worker scheduling.
     """
-    _check_seed(base_seed, "base_seed")
-    if rep_index < 0:
-        raise DomainError(f"rep_index must be >= 0, got {rep_index}")
+    base_seed = _check_seed(base_seed, "base_seed")
+    rep_index = _check_seed(rep_index, "rep_index")
     x = (base_seed + (rep_index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64

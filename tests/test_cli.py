@@ -275,10 +275,11 @@ class TestSimulateCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize("n, reps", [("1e400", "2"), ("30", "1e400"),
-                                         ("30.7", "1"), ("30", "1.9")])
+                                         ("30.7", "1"), ("30", "1.9"),
+                                         ("30", "true"), ("30", '"2"')])
     def test_suite_number_overflow_rejected(self, tmp_path, capsys, n, reps):
         # JSON reads 1e400 as inf, which no int holds; int() would truncate
-        # 30.7 to n = 30 and 1.9 to 1 rep.
+        # 30.7 to n = 30 and 1.9 to 1 rep, and read true as 1 and "2" as 2.
         suite = tmp_path / "suite.json"
         suite.write_text(f'[{{"n": {n}, "m": 24, "k": 10, "reps": {reps}}}]')
         out = tmp_path / "r.csv"
@@ -286,6 +287,18 @@ class TestSimulateCommand:
                        "--workers", "1") == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "malformed suite cell" in err
+        assert not out.exists()
+
+    def test_suite_unknown_key_rejected(self, tmp_path, capsys):
+        # A misspelt "reps" would otherwise fall back to --reps.
+        suite = tmp_path / "suite.json"
+        suite.write_text('[{"n": 30, "m": 24, "k": 10, "rep": 3}]')
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--suite", str(suite), "--out", str(out),
+                       "--workers", "1") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "malformed suite cell" in err
+        assert "unknown key 'rep'" in err
         assert not out.exists()
 
     def test_suite_integral_float_accepted(self, tmp_path, capsys):

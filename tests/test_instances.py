@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,6 @@ from secthresh.instances import _PHILOX_CHUNK, MAX_N, _philox_raw
 
 
 class TestProblemShape:
-    def test_ratios(self):
-        shape = ProblemShape(n=400, m=80, k=15)
-        assert shape.alpha == 0.2
-        assert shape.beta == 15 / 400
-
     def test_validation(self):
         with pytest.raises(DomainError):
             ProblemShape(n=10, m=10, k=2)  # m must be < n
@@ -61,8 +57,19 @@ class TestSampleGaussianMatrix:
         assert hashlib.sha256(A.tobytes()).hexdigest() == digest
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError):
-            sample_gaussian_matrix(ProblemShape(n=8, m=3, k=1), -1)
+        # So are seeds that are no integers: True would run as seed 1 and 5.0
+        # as seed 5.
+        for seed in (-1, 5.0, 1.5, True, "5", None):
+            with pytest.raises(DomainError, match="seed"):
+                sample_gaussian_matrix(ProblemShape(n=8, m=3, k=1), seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed(self, seed):
+        shape = ProblemShape(n=12, m=5, k=0)
+        inst = sample_gaussian_matrix(shape, seed)
+        assert type(inst.seed) is int
+        assert inst.A.tobytes() == sample_gaussian_matrix(shape, int(seed)).A.tobytes()
+        assert derive_rep_seed(seed, np.int64(3)) == derive_rep_seed(int(seed), 3)
 
 
 class TestPhilox:
@@ -76,6 +83,18 @@ class TestPhilox:
 
         want = Philox(key=seed).random_raw(count)
         np.testing.assert_array_equal(_philox_raw(seed, count), want)
+
+    @pytest.mark.parametrize("passes", [1, 3, 8])
+    def test_temporaries_bounded(self, passes):
+        # Above its output the stream holds one pass of lane arrays and round
+        # temporaries, however many passes the count takes.
+        tracemalloc.start()
+        try:
+            words = _philox_raw(7, 4 * _PHILOX_CHUNK * passes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - words.nbytes <= 2.5e6
 
 
 class TestNullProjector:
@@ -155,8 +174,14 @@ class TestDeriveRepSeed:
         with pytest.raises(DomainError):
             derive_rep_seed(1, -1)
 
-    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    @pytest.mark.parametrize("rep_index", [1.5, True, "0"])
+    def test_rep_index_not_integer_rejected(self, rep_index):
+        with pytest.raises(DomainError, match="rep_index"):
+            derive_rep_seed(1, rep_index)
+
+    @pytest.mark.parametrize("base_seed", [-1, 2**64, 5.0, 1.5, True])
     def test_base_seed_outside_64_bits_rejected(self, base_seed):
-        # Masking would alias -1 to 2**64 - 1 and 2**64 to 0.
+        # Masking would alias -1 to 2**64 - 1 and 2**64 to 0; 5.0 and True would
+        # run as 5 and 1.
         with pytest.raises(DomainError, match="base_seed"):
             derive_rep_seed(base_seed, 0)
