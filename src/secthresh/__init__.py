@@ -16,8 +16,8 @@ from .curves import (XI_SK_DEFAULT, CurveKind, CurveSet, SectionalLowerSolve,
                      ThresholdPoint, emit_curves, sec_lower_solve,
                      sec_upper_beta, sec_upper_residual, weak_beta,
                      weak_residual)
-from .errors import (CertificateError, ConsistencyError, DomainError,
-                     NumericalError, SecthreshError, UsageError)
+from .errors import (CertificateError, DomainError, NumericalError,
+                     SecthreshError)
 from .harness import (CellResult, CellSpec, RepRecord, builtin_suite,
                       builtin_tables, paper_rate, run_suite)
 from .instances import (GaussianInstance, NullProjector, ProblemShape,
@@ -33,8 +33,7 @@ __all__ = [
     "XI_SK_DEFAULT", "CurveKind", "CurveSet", "SectionalLowerSolve",
     "ThresholdPoint", "emit_curves", "sec_lower_solve", "sec_upper_beta",
     "sec_upper_residual", "weak_beta", "weak_residual",
-    "CertificateError", "ConsistencyError", "DomainError", "NumericalError",
-    "SecthreshError", "UsageError",
+    "CertificateError", "DomainError", "NumericalError", "SecthreshError",
     "CellResult", "CellSpec", "RepRecord", "builtin_suite", "builtin_tables",
     "paper_rate", "run_suite",
     "GaussianInstance", "NullProjector", "ProblemShape", "derive_rep_seed",

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curves import MAX_GRID_POINTS, XI_SK_DEFAULT, CurveKind, emit_curves
-from .errors import DomainError, SecthreshError, UsageError
+from .errors import DomainError, SecthreshError
 from .harness import MAX_REPS, MAX_WORKERS, CellSpec, builtin_suite, run_suite
 from .instances import GaussianInstance, ProblemShape, sample_gaussian_matrix
 from .tau import Verdict, estimate_failure
@@ -50,6 +50,8 @@ def _check_writable(*paths: Optional[str]) -> None:
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise DomainError(f"cannot write {path!r}: no directory {directory!r}")
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise DomainError(f"cannot write {path!r}: directory {directory!r} is not writable")
         if os.path.isdir(path):
             raise DomainError(f"cannot write {path!r}: Is a directory")
 
@@ -289,7 +291,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     _check_writable(args.emit_certificate)
     A = _read_matrix_csv(args.matrix)
     m, n = A.shape
-    shape = ProblemShape(n=n, m=m, k=args.k)
+    ProblemShape(n=n, m=m, k=args.k)  # raises on a bad shape before any work
     # Far from unit scale ||A||_F overflows or underflows and no certificate
     # re-checks; a power-of-two rescale is exact and keeps the null space.
     peak = float(np.max(np.abs(A)))
@@ -297,7 +299,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         e = math.frexp(peak)[1]
         A = np.ldexp(A, -e)
         print(f"note: matrix rescaled by 2^{-e} (max |entry| was {peak:.6g})")
-    instance = GaussianInstance(shape=shape, seed=0, A=A)
+    instance = GaussianInstance(seed=0, A=A)
     # estimate_failure rejects k outside [1, n) before it factors A, and
     # raises CertificateError when a certificate's construction fails.
     outcome = estimate_failure(instance, args.k)
@@ -366,7 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DomainError, UsageError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SecthreshError as exc:

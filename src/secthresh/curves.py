@@ -33,10 +33,7 @@ the rest once per process.  The 600-point sec-lower sweep is solved on the
 first call.  The weak root and the interpolated sec-lower beta at a grid alpha
 are kept in a cache keyed by alpha and bounded at :data:`MAX_GRID_POINTS`
 alphas.  It holds the very floats the solvers returned, so a warm point is
-bit-equal to a cold one.  A warm call solves only its sec-upper roots: on the default
-19-point grid at the default ``xi_sk`` that is 8,052 ``erfinv`` calls, half of
-the 16,104 a call at new alphas makes after the sweep, and about 21 ms on a
-2-core host.
+bit-equal to a cold one.  A warm call solves only its sec-upper roots.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConsistencyError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .special import _real, erfinv
 
 #: Scaled Sherrington-Kirkpatrick ground-state energy constant used by the
@@ -269,8 +266,8 @@ def sec_lower_solve(beta: float) -> SectionalLowerSolve:
                   beta + 1e-9, 1.0 - 1e-9, resid_tol=1e-10)
     alpha_bound = _sec_lower_alpha_bound(theta, beta)
     if not (beta < alpha_bound < 1.0):
-        raise ConsistencyError(f"alpha_bound={alpha_bound!r} outside (beta, 1) "
-                               f"at beta={beta!r}")
+        raise NumericalError(f"alpha_bound={alpha_bound!r} outside (beta, 1) "
+                             f"at beta={beta!r}")
     return SectionalLowerSolve(beta=beta, theta_hat=theta, alpha_bound=alpha_bound)
 
 
@@ -285,7 +282,7 @@ def _sec_lower_sweep() -> tuple[tuple[float, ...], tuple[float, ...]]:
                   for i in range(_SWEEP_POINTS))
     alphas = tuple(sec_lower_solve(beta).alpha_bound for beta in betas)
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
-        raise ConsistencyError("sectional lower-bound sweep is not monotone in alpha")
+        raise NumericalError("sectional lower-bound sweep is not monotone in alpha")
     return alphas, betas
 
 
@@ -341,8 +338,8 @@ def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT) -> CurveS
         except NumericalError as exc:
             raise NumericalError(f"curve solve failed at alpha={a!r}: {exc}") from exc
         if not (bl <= bu + 1e-12 and bu <= bw + 1e-12):
-            raise ConsistencyError(f"ordering violated at alpha={a!r}: sec-lower={bl!r} "
-                                   f"sec-upper={bu!r} weak={bw!r}")
+            raise NumericalError(f"ordering violated at alpha={a!r}: sec-lower={bl!r} "
+                                 f"sec-upper={bu!r} weak={bw!r}")
         for beta, kind in ((bw, CurveKind.WeakExact), (bl, CurveKind.SectionalLower),
                            (bu, CurveKind.SectionalUpper)):
             out.points.append(ThresholdPoint(alpha=a, beta=beta, kind=kind))

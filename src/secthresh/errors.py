@@ -10,28 +10,12 @@ class SecthreshError(Exception):
 
 
 class DomainError(SecthreshError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the domain or the supported envelope of an operation."""
 
 
 class NumericalError(SecthreshError, ArithmeticError):
-    """A numerical procedure failed: no root bracket, rank deficiency, etc."""
-
-
-class ConsistencyError(SecthreshError):
-    """A computed quantity violates a structural sanity bound."""
-
-
-class UsageError(SecthreshError):
-    """An operation was invoked outside its supported envelope."""
+    """A numerical procedure failed or its result broke a sanity bound."""
 
 
 class CertificateError(SecthreshError):
-    """A candidate failure certificate did not verify.
-
-    Carries the measured gap so the caller can distinguish "barely failed"
-    (solver tolerance issue) from "not even close".
-    """
-
-    def __init__(self, message: str, gap: float):
-        super().__init__(message)
-        self.gap = gap
+    """A candidate failure certificate did not verify."""

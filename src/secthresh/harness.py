@@ -22,13 +22,16 @@ side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import DomainError, SecthreshError
-from .instances import ProblemShape, derive_rep_seed, sample_gaussian_matrix
+from .instances import (ProblemShape, _check_int, derive_rep_seed,
+                        sample_gaussian_matrix)
 from .tau import Verdict, estimate_failure
 
 # A suite's (cell, rep) tasks are listed before any rep runs, so the rep count
@@ -36,6 +39,15 @@ from .tau import Verdict, estimate_failure
 MAX_REPS = 100_000
 # Every worker but the caller is a forked process, so the count is capped.
 MAX_WORKERS = 256
+# The thread-count functions an OpenBLAS build may export, as (get, set) names,
+# and their C signatures: int get(void) and void set(int).
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)
+_SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)
 
 
 @dataclass(frozen=True)
@@ -50,9 +62,9 @@ class CellSpec:
 
     def __post_init__(self):
         ProblemShape(n=self.n, m=self.m, k=self.k)  # raises on a bad shape
-        if not (1 <= self.k < self.m):
+        if not (1 <= _check_int(self.k, "k") < self.m):
             raise DomainError(f"need 1 <= k < m, got k={self.k} m={self.m}")
-        if not (1 <= self.reps <= MAX_REPS):
+        if not (1 <= _check_int(self.reps, "reps") <= MAX_REPS):
             raise DomainError(f"need 1 <= reps <= {MAX_REPS}, got {self.reps}")
 
 
@@ -206,33 +218,56 @@ def _drain(tasks: list, index=None) -> list[tuple[int, RepRecord]]:
         done.append((i, _run_rep(tasks[i])))
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS on one thread in the block, forked children too; then restored."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line})
+        pairs = [(_GET_THREADS((get, lib)), _SET_THREADS((put, lib)))
+                 for lib in map(ctypes.CDLL, paths) for get, put in _OPENBLAS_THREADS
+                 if hasattr(lib, get) and hasattr(lib, put)]
+    except OSError:  # no /proc/self/maps (not Linux), or a library that will not reopen
+        pairs = []
+    saved = [get() for get, _ in pairs]
+    for _, put in pairs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pairs, saved):
+            put(count)
+
+
 def run_suite(cells: Sequence[CellSpec], workers: int = 1) -> list[CellResult]:
     """Run cells in order, every rep of the suite on ``workers`` processes:
     this one and ``workers - 1`` forked children, which take reps from one
     shared index.  The results do not depend on the worker count.  A rep that
     raises a library error is recorded as errored and never aborts its cell.
     ``workers`` must lie in 1..MAX_WORKERS; no more processes run than there
-    are reps."""
-    if not (1 <= workers <= MAX_WORKERS):
+    are reps.  Every process runs its reps on one BLAS thread, so that N
+    processes keep N cores busy rather than oversubscribing them."""
+    if not (1 <= _check_int(workers, "workers") <= MAX_WORKERS):
         raise DomainError(f"need 1 <= workers <= {MAX_WORKERS}, got {workers}")
     tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r))
              for spec in cells for r in range(spec.reps)]
     workers = min(workers, len(tasks))
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    with _one_blas_thread():
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        fork = multiprocessing.get_context("fork")
-        index = fork.Value("q", 0)
-        with ProcessPoolExecutor(max_workers=workers - 1, mp_context=fork,
-                                 initializer=_share_index, initargs=(index,)) as pool:
-            children = [pool.submit(_drain, tasks) for _ in range(workers - 1)]
-            done = _drain(tasks, index)
-            for child in children:
-                done += child.result()
-        records = [record for _, record in sorted(done)]
-    else:
-        records = [_run_rep(t) for t in tasks]
+            fork = multiprocessing.get_context("fork")
+            index = fork.Value("q", 0)
+            with ProcessPoolExecutor(max_workers=workers - 1, mp_context=fork,
+                                     initializer=_share_index, initargs=(index,)) as pool:
+                children = [pool.submit(_drain, tasks) for _ in range(workers - 1)]
+                done = _drain(tasks, index)
+                for child in children:
+                    done += child.result()
+            records = [record for _, record in sorted(done)]
+        else:
+            records = [_run_rep(t) for t in tasks]
     # Records are in task order, so each cell's reps are the next spec.reps.
     ordered = iter(records)
     return [CellResult(spec, tuple(islice(ordered, spec.reps))) for spec in cells]

@@ -26,12 +26,18 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_N = 10_000
 
 
+def _check_int(value, name: str) -> int:
+    """The count rule: an integer (numpy's included), not a bool.  Returns it
+    as a Python int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_seed(seed, name: str) -> int:
-    """The seed rule: an integer, not a bool, with 0 <= seed < 2**64, so no two
-    seeds (or rep indices) alias one stream.  Returns it as a Python int."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {seed!r}")
-    seed = int(seed)
+    """The seed rule: an integer with 0 <= seed < 2**64, so no two seeds (or
+    rep indices) alias one stream.  Returns it as a Python int."""
+    seed = _check_int(seed, name)
     if not (0 <= seed < 2**64):
         raise DomainError(f"{name} must be a 64-bit unsigned integer, got {seed}")
     return seed
@@ -47,21 +53,20 @@ def _check_dimensions(n: int, m: int) -> None:
 
 @dataclass(frozen=True)
 class ProblemShape:
-    """Instance dimensions n (ambient), m (measurements), k (support block)."""
+    """Dimensions n (ambient) and m (measurements), and a support block k left unchecked."""
 
     n: int
     m: int
     k: int
 
     def __post_init__(self):
-        _check_dimensions(self.n, self.m)
-        if not (0 <= self.k <= self.n):
-            raise DomainError(f"need 0 <= k <= n, got k={self.k}")
+        _check_dimensions(_check_int(self.n, "n"), _check_int(self.m, "m"))
 
 
 @dataclass(frozen=True)
 class GaussianInstance:
-    shape: ProblemShape
+    """A measurement matrix and the seed it was drawn from."""
+
     seed: int
     A: np.ndarray
 
@@ -161,7 +166,7 @@ def sample_gaussian_matrix(shape: ProblemShape, seed: int) -> GaussianInstance:
     entries = _philox_normals(seed, shape.m * shape.n)
     A = entries.reshape(shape.m, shape.n)
     A.setflags(write=False)
-    return GaussianInstance(shape=shape, seed=seed, A=A)
+    return GaussianInstance(seed=seed, A=A)
 
 
 def null_projector(A: np.ndarray) -> NullProjector:

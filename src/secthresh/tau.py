@@ -54,8 +54,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateError, DomainError, UsageError
-from .instances import GaussianInstance, NullProjector, null_projector
+from .errors import CertificateError, DomainError
+from .instances import GaussianInstance, NullProjector, _check_int, null_projector
 
 __all__ = [
     "DualSolve", "Certificate", "ConstructionReport",
@@ -80,7 +80,7 @@ def positivity_threshold(n: int) -> float:
 
 def _check_block(k: int, n: int) -> None:
     """A tail block needs at least one coordinate and leaves a head."""
-    if not (1 <= k < n):
+    if not (1 <= _check_int(k, "k") < n):
         raise DomainError(f"need 1 <= k < n={n}, got k={k}")
 
 
@@ -88,12 +88,12 @@ def _check_block(k: int, n: int) -> None:
 class DualSolve:
     """Result of one box-slice-to-row-space distance computation.
 
+    The tail of ``z_star`` is -b for the pattern b that was solved.
     ``converged`` means the solve ended before MAX_ITERATIONS.
     ``stopped_below`` means it ended early, at a boxed point within the
     ``stop_below`` bound it was given, rather than at the fixed point.
     """
 
-    b: np.ndarray
     z_star: np.ndarray
     distance: float
     iterations: int
@@ -256,7 +256,7 @@ def dual_distance(P: NullProjector, k: int, b,
     x, iterations, converged, stopped = _box_lsq(M, c, start, stop_below)
     z = np.concatenate([x, -b])
     distance = float(np.linalg.norm(Dperp @ z))
-    return DualSolve(b=b, z_star=z, distance=distance, iterations=iterations,
+    return DualSolve(z_star=z, distance=distance, iterations=iterations,
                      converged=converged, stopped_below=stopped)
 
 
@@ -273,9 +273,9 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
     n = P.Dperp.shape[1]
     threshold = positivity_threshold(n)
     if not solve.converged or solve.stopped_below:
-        raise UsageError("certificate extraction requires a solve run to its fixed point")
+        raise DomainError("certificate extraction requires a solve run to its fixed point")
     if solve.distance <= threshold:
-        raise UsageError(
+        raise DomainError(
             f"distance {solve.distance:.3e} not above positivity threshold {threshold:.3e}"
         )
     w = -P.apply_q(solve.z_star)
@@ -288,14 +288,11 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
     residual = norm_aw / norm_a if norm_a else 0.0
     if gap <= 0.0:
         raise CertificateError(
-            f"candidate gap {gap:.3e} is not positive (distance {solve.distance:.3e})",
-            gap=gap,
-        )
+            f"candidate gap {gap:.3e} is not positive (distance {solve.distance:.3e})")
     if not (0.0 < norm_a < math.inf and math.isfinite(norm_aw) and residual <= 1e-8):
         raise CertificateError(
             f"null-space residual {residual:.3e} exceeds 1e-8 or rests on a zero or "
-            f"non-finite norm (||A w|| {norm_aw:.3e}, ||A|| {norm_a:.3e})", gap=gap
-        )
+            f"non-finite norm (||A w|| {norm_aw:.3e}, ||A|| {norm_a:.3e})")
     return Certificate(w=w, head_l1=head_l1, tail_l1=tail_l1, gap=gap,
                        nullspace_residual=residual)
 
@@ -432,10 +429,10 @@ def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
 
     Raises DomainError unless 1 <= k < n, before anything is factored.
     """
-    _check_block(k, instance.shape.n)
+    _check_block(k, np.shape(instance.A)[-1])
     P = null_projector(instance.A)
     outcome = bit_flip_search(P, k)
     cert = outcome.certificate
     if cert is not None and not verify_theorem2_construction(instance.A, k, cert).passed:
-        raise CertificateError("certified outcome failed the construction check", gap=cert.gap)
+        raise CertificateError("certified outcome failed the construction check")
     return outcome

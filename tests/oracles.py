@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from secthresh import DomainError, UsageError
+from secthresh import DomainError
 from secthresh import tau
 from secthresh.tau import as_sign_pattern
 
@@ -197,7 +197,7 @@ def primal_tau_batch(cases):
     for i, (P, k, b) in enumerate(cases):
         n = P.Dperp.shape[1]
         if n > PRIMAL_SIZE_CAP:
-            raise UsageError(f"primal reference capped at n <= {PRIMAL_SIZE_CAP}, got n={n}")
+            raise DomainError(f"primal reference capped at n <= {PRIMAL_SIZE_CAP}, got n={n}")
         if not (1 <= k < n):
             raise DomainError(f"need 1 <= k < n={n}, got k={k}")
         D[i, :P.Dperp.shape[0], :n] = P.Dperp

@@ -34,12 +34,11 @@ def _verdict_line(num, name, detail):
 
 @pytest.fixture(scope="module")
 def transition_column():
-    """(n=400, m=80) column at reps=25, shared by criteria 6 and 8."""
+    """(n=400, m=80) column at reps=25, shared by criteria 6 and 8.  The
+    results do not depend on the worker count, so the suite runs on two."""
     t0 = time.monotonic()
-    rates = {}
-    for k in (15, 14, 13, 12, 11, 10):
-        res = run_suite([CellSpec(n=400, m=80, k=k, reps=25, base_seed=0)])[0]
-        rates[k] = res.failures
+    cells = [CellSpec(n=400, m=80, k=k, reps=25, base_seed=0) for k in (15, 14, 13, 12, 11, 10)]
+    rates = {res.spec.k: res.failures for res in run_suite(cells, workers=2)}
     return rates, time.monotonic() - t0
 
 
@@ -137,14 +136,19 @@ def test_05_exhaustive_oracle_agreement():
                   f"{agree}/50 agree, 0 unsound, {elapsed:.0f}s")
 
 
+def _table_spots(checks):
+    """The checked cells at reps=25, base seed 0, as one suite on two workers."""
+    cells = [CellSpec(n=n, m=m, k=k, reps=25, base_seed=0) for (n, m, k), _, _ in checks]
+    return run_suite(cells, workers=2)
+
+
 def test_06_low_alpha_table_spots(transition_column):
     t0 = time.monotonic()
     rates, column_elapsed = transition_column
     checks = [((800, 80, 14), "ge", 0.80), ((800, 80, 8), "le", 0.20),
               ((400, 200, 50), "ge", 0.80), ((400, 200, 40), "le", 0.25)]
     observed = {}
-    for (n, m, k), op, bound in checks:
-        res = run_suite([CellSpec(n=n, m=m, k=k, reps=25, base_seed=0)])[0]
+    for ((n, m, k), op, bound), res in zip(checks, _table_spots(checks)):
         observed[(n, m, k)] = res.rate
         if op == "ge":
             assert res.rate >= bound, f"({n},{m},{k}) rate {res.rate} < {bound}"
@@ -166,8 +170,7 @@ def test_07_high_alpha_table_spots():
     checks = [((300, 180, 51), "ge", 0.85), ((300, 180, 40), "le", 0.25),
               ((200, 180, 74), "ge", 0.80), ((200, 180, 61), "le", 0.25)]
     observed = {}
-    for (n, m, k), op, bound in checks:
-        res = run_suite([CellSpec(n=n, m=m, k=k, reps=25, base_seed=0)])[0]
+    for ((n, m, k), op, bound), res in zip(checks, _table_spots(checks)):
         observed[(n, m, k)] = res.rate
         if op == "ge":
             assert res.rate >= bound, f"({n},{m},{k}) rate {res.rate} < {bound}"

@@ -6,14 +6,13 @@ import numpy as np
 import secthresh
 import secthresh.curves as curves
 import secthresh.tau as tau
-from secthresh import GaussianInstance, ProblemShape, Verdict
+from secthresh import GaussianInstance, Verdict
 
 PUBLIC_API = {
     "XI_SK_DEFAULT", "CurveKind", "CurveSet", "SectionalLowerSolve",
     "ThresholdPoint", "emit_curves", "sec_lower_solve", "sec_upper_beta",
     "sec_upper_residual", "weak_beta", "weak_residual",
-    "CertificateError", "ConsistencyError", "DomainError", "NumericalError",
-    "SecthreshError", "UsageError",
+    "CertificateError", "DomainError", "NumericalError", "SecthreshError",
     "CellResult", "CellSpec", "RepRecord", "builtin_suite", "builtin_tables",
     "paper_rate", "run_suite",
     "GaussianInstance", "NullProjector", "ProblemShape", "derive_rep_seed",
@@ -32,12 +31,11 @@ SIGNATURES = {
     "CellResult": ("spec", "per_rep"),
     "CellSpec": ("n", "m", "k", "reps", "base_seed"),
     "Certificate": ("w", "head_l1", "tail_l1", "gap", "nullspace_residual"),
-    "CertificateError": ("message", "gap"),
     "ConstructionReport": ("passed", "l1_original", "l1_competitor",
                            "measurement_residual"),
     "CurveSet": ("points",),
-    "DualSolve": ("b", "z_star", "distance", "iterations", "converged", "stopped_below"),
-    "GaussianInstance": ("shape", "seed", "A"),
+    "DualSolve": ("z_star", "distance", "iterations", "converged", "stopped_below"),
+    "GaussianInstance": ("seed", "A"),
     "NullProjector": ("Dperp", "rowspace", "A"),
     "ProblemShape": ("n", "m", "k"),
     "RepRecord": ("seed", "verdict", "flips", "seconds", "diagnostic", "errored"),
@@ -75,7 +73,7 @@ TRACED_CURVES = ("sec_lower_solve", "weak_beta", "sec_upper_beta", "erfinv")
 
 
 def test_public_names_are_pinned():
-    assert len(secthresh.__all__) == 42
+    assert len(secthresh.__all__) == 40
     assert sorted(secthresh.__all__) == sorted(PUBLIC_API)
     for name in secthresh.__all__:
         assert getattr(secthresh, name) is not None
@@ -116,7 +114,7 @@ def test_traced_names_are_looked_up_in_their_modules(monkeypatch):
 
     calls = _count_calls(monkeypatch, tau, TRACED_TAU)
     A = np.array([[2.0, 1.0]])  # fails at the first pattern: every layer runs once
-    instance = GaussianInstance(shape=ProblemShape(n=2, m=1, k=1), seed=0, A=A)
+    instance = GaussianInstance(seed=0, A=A)
     assert tau.estimate_failure(instance, 1).verdict is Verdict.CertifiedFailure
     assert all(count >= 1 for count in calls.values()), calls
 

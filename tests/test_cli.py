@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -346,6 +347,24 @@ class TestUnwritableOutput:
         assert run_cli("simulate", "--cell", "30,24,10", "--reps", "1",
                        "--workers", "1", "--out", str(out)) == 2
         self.assert_one_line(capsys, out)
+
+    def test_simulate_unwritable_directory_before_any_rep(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # Permission bits do not bind root, so the refusal is simulated.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rep ran before the output path was checked")
+
+        access = os.access
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: (
+            path != str(locked) and access(path, mode, **kwargs)))
+        monkeypatch.setattr(harness, "_run_rep", unreachable)
+        out = locked / "r.csv"
+        assert run_cli("simulate", "--cell", "30,24,10", "--reps", "1",
+                       "--workers", "1", "--out", str(out)) == 2
+        self.assert_one_line(capsys, out)
+        assert list(locked.iterdir()) == []
 
     def test_curves_bad_svg_writes_no_csv(self, tmp_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from secthresh import (XI_SK_DEFAULT, ConsistencyError, CurveKind, DomainError,
-                       NumericalError, emit_curves, erfinv, sec_lower_solve,
+from secthresh import (XI_SK_DEFAULT, CurveKind, DomainError, NumericalError,
+                       emit_curves, erfinv, sec_lower_solve,
                        sec_upper_beta, sec_upper_residual, weak_beta, weak_residual)
 import secthresh.curves as curves
 from secthresh.curves import mg_ratio_closed_form

@@ -7,6 +7,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import secthresh
@@ -52,16 +53,22 @@ class TestBuiltinTables:
         assert all(spec.reps == 5 and spec.base_seed == 3 for spec in suite)
         with pytest.raises(DomainError):
             builtin_suite("table3")
+        with pytest.raises(DomainError, match="reps must be an integer"):
+            builtin_suite("table2", reps=1.5)
 
 
 class TestCellSpec:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            CellSpec(n=100, m=100, k=5, reps=1)
-        with pytest.raises(DomainError):
-            CellSpec(n=100, m=50, k=50, reps=1)
-        with pytest.raises(DomainError):
-            CellSpec(n=100, m=50, k=5, reps=0)
+        # Counts are integers, numpy's included, but not bools or floats.
+        for n, m, k, reps in [(100, 100, 5, 1), (100, 50, 50, 1), (100, 50, 5, 0),
+                              (30.0, 20, 5, 1), (30, 20.0, 5, 1), (30, 20, True, 1),
+                              (30, 20, 5.0, 1), (30, 20, 5, 1.5), (30, 20, 5, True)]:
+            with pytest.raises(DomainError):
+                CellSpec(n=n, m=m, k=k, reps=reps)
+
+    def test_numpy_integers_accepted(self):
+        spec = CellSpec(n=np.int64(30), m=np.int32(20), k=np.int16(5), reps=np.uint8(1))
+        assert run_suite([spec])[0].per_rep[0].seed == derive_rep_seed(0, 0)
 
     def test_dimension_cap(self):
         # The shape rules are ProblemShape's, so the n cap holds for a cell.
@@ -295,7 +302,7 @@ def no_reps_run(monkeypatch):
     monkeypatch.setattr(harness, "_run_rep", unreachable)
 
 
-@pytest.mark.parametrize("workers", [-3, 0, harness.MAX_WORKERS + 1, 5000])
+@pytest.mark.parametrize("workers", [-3, 0, harness.MAX_WORKERS + 1, 5000, 2.0, True])
 def test_worker_count_bounded(no_reps_run, workers):
     with pytest.raises(DomainError, match="workers"):
         run_suite([CellSpec(n=30, m=24, k=12, reps=5000)], workers=workers)
@@ -340,3 +347,55 @@ def test_sampling_and_pool_never_load_numpy_random():
             "assert len(cell.per_rep) == 2; "
             "print('numpy.random' in sys.modules)")
     assert _run_child(code) == "False"
+
+
+BLAS_THREADS_CODE = """
+import ctypes, dataclasses, multiprocessing, os
+import secthresh.harness as harness
+from secthresh import CellSpec, run_suite
+
+with open("/proc/self/maps") as maps:
+    paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line})
+getters = [getattr(lib, get) for lib in map(ctypes.CDLL, paths)
+           for get, put in harness._OPENBLAS_THREADS if hasattr(lib, get) and hasattr(lib, put)]
+if not getters:
+    raise SystemExit(print("no setter"))
+threads = getters[0]
+caller, child_ran = os.getpid(), multiprocessing.get_context("fork").Event()
+run_rep = harness._run_rep
+
+def traced(task):
+    # The caller's first rep waits for a child's, so both run at least one.
+    if os.getpid() == caller:
+        assert child_ran.wait(timeout=120), "no child ran a rep"
+    record = run_rep(task)
+    child_ran.set()
+    where = "caller" if os.getpid() == caller else "child"
+    return dataclasses.replace(record, diagnostic=f"{where}:{threads()}")
+
+def raising(task):
+    raise RuntimeError("a rep that raises")
+
+before = threads()
+harness._run_rep = traced
+[cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=4)], workers=2)
+after = threads()
+harness._run_rep = raising
+try:
+    run_suite([CellSpec(n=24, m=18, k=9, reps=1)])
+except RuntimeError:
+    pass
+print(before == after == threads(), sorted({r.diagnostic for r in cell.per_rep}))
+"""
+
+
+def test_reps_run_on_one_blas_thread(monkeypatch):
+    # Left unset, OpenBLAS runs a thread a core in every process, so the
+    # processes of a suite oversubscribe the cores.  run_suite runs the
+    # caller's reps and its children's on one thread, and then gives the
+    # caller back its count, also after a rep raised.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    out = _run_child(BLAS_THREADS_CODE)
+    if out == "no setter":
+        pytest.skip("no OpenBLAS thread-count setter in this process")
+    assert out == "True ['caller:1', 'child:1']"

@@ -17,7 +17,7 @@ import pytest
 import oracles
 import secthresh.tau as tau
 from oracles import box_lsq_reference
-from secthresh import (DomainError, ProblemShape, UsageError, bit_flip_search,
+from secthresh import (DomainError, ProblemShape, bit_flip_search,
                        builtin_suite, derive_rep_seed, dual_distance,
                        estimate_failure, extract_certificate, null_projector,
                        sample_gaussian_matrix)
@@ -92,14 +92,15 @@ class TestLoopBitIdentity:
 
 
 def _stopped_solves(monkeypatch, P, k):
-    """Every (x0, bound, solve) of one search whose solve stopped early."""
+    """Every (b, x0, bound, solve) of one search whose solve stopped early."""
     stopped = []
     original = tau.dual_distance
 
     def recording(P, k, b, x0=None, stop_below=None):
         solve = original(P, k, b, x0=x0, stop_below=stop_below)
         if solve.stopped_below:
-            stopped.append((None if x0 is None else x0.copy(), stop_below, solve))
+            stopped.append((np.array(b), None if x0 is None else x0.copy(), stop_below,
+                            solve))
         return solve
 
     monkeypatch.setattr(tau, "dual_distance", recording)
@@ -115,18 +116,18 @@ class TestEarlyStop:
         P = _projector(n, m, k, seed)
         stopped = _stopped_solves(monkeypatch, P, k)
         assert len(stopped) >= 30
-        for x0, bound, solve in stopped:
+        for b, x0, bound, solve in stopped:
             assert bound == tau.positivity_threshold(n)
             assert solve.converged
             z = solve.z_star
-            assert np.array_equal(z[n - k:], -solve.b)
+            assert np.array_equal(z[n - k:], -b)
             assert np.all(np.abs(z[:n - k]) <= 1.0)
             assert np.linalg.norm(P.Dperp @ z) <= bound * (1 + 1e-12)
             assert solve.distance <= bound * (1 + 1e-12)
         # Run to the fixed point from the same start, the stopped solves end
         # at or below the bound too, so none of them was a keeper.
-        for x0, bound, solve in stopped[::5]:
-            full = dual_distance(P, k, solve.b, x0=x0)
+        for b, x0, bound, solve in stopped[::5]:
+            full = dual_distance(P, k, b, x0=x0)
             assert full.converged and not full.stopped_below
             assert full.distance <= bound
 
@@ -151,7 +152,7 @@ class TestEarlyStop:
         P = null_projector(np.array([[2.0, 1.0]]))
         solve = dual_distance(P, 1, [1.0], stop_below=1.0)
         assert solve.stopped_below and solve.distance > tau.positivity_threshold(2)
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError):
             extract_certificate(P, 1, solve)
 
     @pytest.mark.parametrize("bound", [-1e-6, math.nan])
@@ -184,7 +185,7 @@ def test_search_call_sequence_pinned(monkeypatch):
         return solve_original(P, k, b, x0=x0, stop_below=stop_below)
 
     def certify(P, k, s):
-        h.update(b"certify" + s.b.tobytes())
+        h.update(b"certify" + (-s.z_star[-k:]).tobytes())
         return certify_original(P, k, s)
 
     monkeypatch.setattr(tau, "dual_distance", solve)

@@ -14,8 +14,6 @@ class TestProblemShape:
         with pytest.raises(DomainError):
             ProblemShape(n=10, m=10, k=2)  # m must be < n
         with pytest.raises(DomainError):
-            ProblemShape(n=10, m=4, k=11)  # k must be <= n
-        with pytest.raises(DomainError):
             ProblemShape(n=10, m=0, k=2)
 
     def test_dimension_cap(self):

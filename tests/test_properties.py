@@ -19,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from secthresh import (GaussianInstance, ProblemShape, SecthreshError, Verdict,
+from secthresh import (GaussianInstance, SecthreshError, Verdict,
                        estimate_failure, verify_theorem2_construction)
 from secthresh.cli import main
 
@@ -46,9 +46,9 @@ def wide_matrices(draw):
 @given(data=st.data())
 def test_every_certified_failure_rechecks(data):
     A = data.draw(wide_matrices())
-    m, n = A.shape
+    n = A.shape[1]
     k = data.draw(st.integers(1, n - 1))
-    instance = GaussianInstance(shape=ProblemShape(n=n, m=m, k=k), seed=0, A=A)
+    instance = GaussianInstance(seed=0, A=A)
     try:
         outcome = estimate_failure(instance, k)
     except SecthreshError:

@@ -17,7 +17,7 @@ ERFINV_HALF = 0.4769362762044699
 _PS = [i / 10000 for i in range(-9999, 10000)]
 _PS += [1.0 - 10.0 ** -j for j in range(5, 16)] + [1.0 - 2e-16, 5e-324, 1e-300, 1e-17]
 PIN_GRID = _PS + [-p for p in _PS]
-PIN_BITS = "f8a33b396383e4497c38480d7d95209dbceafd5c78bba1f3d2f33ac742cf9079"
+PIN_BITS = "f5725be33df9aaedf1e594b0ee11e0d334443c58484d934448e9027797d0f19b"
 
 
 class TestErfinv:
@@ -65,9 +65,18 @@ class TestErfinv:
         assert type(got) is float
         assert got == erfinv(0.5)
 
+    @pytest.mark.parametrize("p", [1.0 - 3 * 2.0**-53, 1.0 - 1e-15, 1.0 - 1e-13])
+    def test_near_one_against_mpmath(self, p):
+        # (1 + p) / 2 rounds here, so a seed taken there sits too far off for
+        # two Newton steps; the seed from the exact 1 - p does not.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ref = float(mpmath.erfinv(mpmath.mpf(p)))
+        for q, want in ((p, ref), (-p, -ref)):
+            assert abs(erfinv(q) - want) <= 1e-15 * abs(want)
+
     def test_last_float_below_one(self):
-        # (p + 1) / 2 rounds to 1 here, so the seed comes from the lower tail;
-        # the value is mpmath's.
+        # (p + 1) / 2 rounds to 1 here; the value is mpmath's.
         p = 1.0 - 2.0**-53
         assert erfinv(p) == 5.8635847487551676
         assert erfinv(-p) == -5.8635847487551676

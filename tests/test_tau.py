@@ -7,7 +7,7 @@ import pytest
 import secthresh.tau as tau
 from secthresh import (CertificateError, DomainError,
                        GaussianInstance, ProblemShape,
-                       TauOutcome, UsageError,
+                       TauOutcome,
                        Verdict, bit_flip_search, dual_distance,
                        estimate_failure, extract_certificate,
                        null_projector,
@@ -25,11 +25,12 @@ def _balanced_projector():
 
 
 class TestDualDistance:
-    @pytest.mark.parametrize("k", [-1, 0, 12])
+    @pytest.mark.parametrize("k", [-1, 0, 12, 2.5, True])
     def test_k_outside_block_range_rejected(self, k):
         P = null_projector(sample_gaussian_matrix(ProblemShape(n=12, m=5, k=1), 3).A)
-        with pytest.raises(DomainError, match="need 1 <= k < n=12"):
-            dual_distance(P, k, np.ones(max(k, 0)))
+        message = "need 1 <= k < n=12" if type(k) is int else "k must be an integer"
+        with pytest.raises(DomainError, match=message):
+            dual_distance(P, k, np.ones(max(int(k), 0)))
 
     def test_hand_instance(self):
         solve = dual_distance(_hand_projector(), 1, [1.0])
@@ -75,7 +76,7 @@ class TestDualDistance:
         b = np.ones(25)
         solve = dual_distance(P, 25, b)
         b[0] = -1.0
-        assert np.all(solve.b == 1.0)
+        assert np.all(solve.z_star[-25:] == -1.0)
 
     def test_bad_sign_pattern(self):
         with pytest.raises(DomainError):
@@ -103,7 +104,7 @@ class TestPrimalReference:
     def test_size_cap(self):
         shape = ProblemShape(n=61, m=10, k=2)
         P = null_projector(sample_gaussian_matrix(shape, 0).A)
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError):
             primal_tau_reference(P, 2, [1.0, 1.0])
 
 
@@ -142,7 +143,7 @@ class TestCertificates:
     def test_below_threshold_rejected(self):
         P = _balanced_projector()
         solve = dual_distance(P, 1, [1.0])
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError):
             extract_certificate(P, 1, solve)
 
     def test_construction_recheck(self):
@@ -176,7 +177,7 @@ class TestChecksFailClosed:
 
     def test_scaled_gaussian_matrix_not_certified(self, scale):
         A = np.random.default_rng(0).standard_normal((5, 12)) * scale
-        inst = GaussianInstance(shape=ProblemShape(n=12, m=5, k=2), seed=0, A=A)
+        inst = GaussianInstance(seed=0, A=A)
         for k in (2, 4, 6):
             assert estimate_failure(inst, k).verdict is Verdict.NotCertified
 
@@ -242,14 +243,15 @@ class TestTailMarginGram:
 
 
 class TestEstimateFailure:
-    @pytest.mark.parametrize("k", [-1, 0, 12])
+    @pytest.mark.parametrize("k", [-1, 0, 12, 2.5, True])
     def test_k_outside_block_range_rejected_before_factoring(self, k, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("the instance was factored")
 
         monkeypatch.setattr(tau, "null_projector", unreachable)
         inst = sample_gaussian_matrix(ProblemShape(n=12, m=5, k=1), 1)
-        with pytest.raises(DomainError, match="need 1 <= k < n=12"):
+        message = "need 1 <= k < n=12" if type(k) is int else "k must be an integer"
+        with pytest.raises(DomainError, match=message):
             estimate_failure(inst, k)
 
     def test_deep_failure_cell(self):
