@@ -23,9 +23,9 @@ from .harness import (CellResult, CellSpec, RepRecord, builtin_suite,
 from .instances import (GaussianInstance, NullProjector, ProblemShape,
                         derive_rep_seed, null_projector, sample_gaussian_matrix)
 from .special import erfinv
-from .tau import (Certificate, ConstructionReport, DualSolve, TauOutcome,
-                  Verdict, bit_flip_search, dual_distance, estimate_failure,
-                  extract_certificate, verify_theorem2_construction)
+from .tau import (Certificate, DualSolve, TauOutcome, Verdict, bit_flip_search,
+                  dual_distance, estimate_failure, extract_certificate,
+                  verify_theorem2_construction)
 
 __version__ = "0.1.0"
 
@@ -38,8 +38,7 @@ __all__ = [
     "paper_rate", "run_suite",
     "GaussianInstance", "NullProjector", "ProblemShape", "derive_rep_seed",
     "null_projector", "sample_gaussian_matrix", "erfinv",
-    "Certificate", "ConstructionReport", "DualSolve",
-    "TauOutcome", "Verdict", "bit_flip_search",
+    "Certificate", "DualSolve", "TauOutcome", "Verdict", "bit_flip_search",
     "dual_distance", "estimate_failure", "extract_certificate",
     "verify_theorem2_construction",
     "__version__",

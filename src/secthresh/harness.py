@@ -27,7 +27,7 @@ import ctypes
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import DomainError, SecthreshError
 from .instances import (ProblemShape, _check_int, derive_rep_seed,
@@ -239,14 +239,15 @@ def _one_blas_thread():
             put(count)
 
 
-def run_suite(cells: Sequence[CellSpec], workers: int = 1) -> list[CellResult]:
-    """Run cells in order, every rep of the suite on ``workers`` processes:
-    this one and ``workers - 1`` forked children, which take reps from one
-    shared index.  The results do not depend on the worker count.  A rep that
+def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
+    """Run cells, any iterable of CellSpec, in order, every rep of the suite
+    on ``workers`` processes: this one and ``workers - 1`` forked children,
+    which take reps from one shared index.  The results do not depend on the worker count.  A rep that
     raises a library error is recorded as errored and never aborts its cell.
     ``workers`` must lie in 1..MAX_WORKERS; no more processes run than there
     are reps.  Every process runs its reps on one BLAS thread, so that N
     processes keep N cores busy rather than oversubscribing them."""
+    cells = list(cells)
     if not (1 <= _check_int(workers, "workers") <= MAX_WORKERS):
         raise DomainError(f"need 1 <= workers <= {MAX_WORKERS}, got {workers}")
     tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r))

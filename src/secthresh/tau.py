@@ -58,9 +58,8 @@ from .errors import CertificateError, DomainError
 from .instances import GaussianInstance, NullProjector, _check_int, null_projector
 
 __all__ = [
-    "DualSolve", "Certificate", "ConstructionReport",
-    "Verdict", "TauOutcome", "as_sign_pattern", "positivity_threshold",
-    "dual_distance", "extract_certificate",
+    "DualSolve", "Certificate", "Verdict", "TauOutcome", "as_sign_pattern",
+    "positivity_threshold", "dual_distance", "extract_certificate",
     "verify_theorem2_construction", "bit_flip_search", "estimate_failure",
 ]
 
@@ -110,16 +109,6 @@ class Certificate:
     tail_l1: float
     gap: float
     nullspace_residual: float
-
-
-@dataclass(frozen=True)
-class ConstructionReport:
-    """Arithmetic check of the sparse-vector construction from a certificate."""
-
-    passed: bool
-    l1_original: float
-    l1_competitor: float
-    measurement_residual: float
 
 
 class Verdict(Enum):
@@ -232,7 +221,8 @@ def dual_distance(P: NullProjector, k: int, b,
     b : array-like
         Sign pattern of length k (entries +-1).
     x0 : ndarray, optional
-        Warm start for the head block (defaults to zeros).
+        Warm start for the head block: a finite vector of length n - k,
+        clipped to the box (defaults to zeros).
     stop_below : float, optional
         Stop as soon as a boxed iterate lies within this distance of the row
         space, which proves distance(b) <= stop_below; the result then has
@@ -252,7 +242,11 @@ def dual_distance(P: NullProjector, k: int, b,
     Dperp = P.Dperp
     M = Dperp[:, :n - k]
     c = Dperp[:, n - k:] @ b
-    start = np.zeros(n - k) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
+    start = np.zeros(n - k) if x0 is None else np.asarray(x0, dtype=float)
+    if start.shape != (n - k,) or not np.isfinite(start).all():
+        raise DomainError(f"x0 must be a finite vector of length n - k = {n - k}, "
+                          f"got shape {start.shape}")
+    start = np.clip(start, -1.0, 1.0)
     x, iterations, converged, stopped = _box_lsq(M, c, start, stop_below)
     z = np.concatenate([x, -b])
     distance = float(np.linalg.norm(Dperp @ z))
@@ -271,6 +265,7 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
     underflows to 0, or a non-finite ||A w||, proves nothing and raises.
     """
     n = P.Dperp.shape[1]
+    _check_block(k, n)
     threshold = positivity_threshold(n)
     if not solve.converged or solve.stopped_below:
         raise DomainError("certificate extraction requires a solve run to its fixed point")
@@ -297,20 +292,21 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
                        nullspace_residual=residual)
 
 
-def verify_theorem2_construction(A: np.ndarray, k: int,
-                                 cert: Certificate) -> ConstructionReport:
+def verify_theorem2_construction(A: np.ndarray, k: int, cert: Certificate) -> None:
     """Check the explicit sparse vector built from a certificate.
 
     Builds x supported on the tail with x_j = -w_j there; then x + w agrees
     with w on the head and vanishes on the tail, so the construction fails l1
     recovery iff ||x + w||_1 < ||x||_1 and both vectors measure identically.
-    The report carries all the measured numbers; nothing raises.  The check
-    fails closed: a zero or non-finite tolerance (an ||A||_F that underflowed
-    or overflowed) or a non-finite measurement residual does not pass.
+    A construction that fails the check raises CertificateError with the
+    measured numbers.  The check fails closed: a zero or non-finite tolerance
+    (an ||A||_F that underflowed or overflowed) or a non-finite measurement
+    residual does not pass.
     """
     A = np.asarray(A, dtype=float)
     w = cert.w
     n = w.shape[0]
+    _check_block(k, n)
     x = np.zeros(n)
     x[n - k:] = -w[n - k:]
     l1_original = float(np.sum(np.abs(x)))
@@ -320,14 +316,10 @@ def verify_theorem2_construction(A: np.ndarray, k: int,
         norm_w = float(np.linalg.norm(w))
         meas = float(np.linalg.norm(A @ (x + w) - A @ x))
     bound = 1e-8 * norm_a * max(norm_w, 1e-300)
-    passed = (l1_competitor < l1_original
-              and 0.0 < bound < math.inf and meas <= bound)
-    return ConstructionReport(
-        passed=passed,
-        l1_original=l1_original,
-        l1_competitor=l1_competitor,
-        measurement_residual=meas,
-    )
+    if not (l1_competitor < l1_original and 0.0 < bound < math.inf and meas <= bound):
+        raise CertificateError(
+            f"construction check failed: ||x + w||_1 {l1_competitor:.3e} vs ||x||_1 "
+            f"{l1_original:.3e}, measurement residual {meas:.3e} vs bound {bound:.3e}")
 
 
 def _tail_margin_gram(P: NullProjector, k: int) -> np.ndarray:
@@ -425,14 +417,14 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
 
 
 def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
-    """Full pipeline for one instance: factor, search, verify.
+    """Full pipeline for one instance: factor, search, check the construction.
 
-    Raises DomainError unless 1 <= k < n, before anything is factored.
+    Raises DomainError unless 1 <= k < n, before anything is factored, and
+    CertificateError when a certificate fails the construction check.
     """
     _check_block(k, np.shape(instance.A)[-1])
     P = null_projector(instance.A)
     outcome = bit_flip_search(P, k)
-    cert = outcome.certificate
-    if cert is not None and not verify_theorem2_construction(instance.A, k, cert).passed:
-        raise CertificateError("certified outcome failed the construction check")
+    if outcome.certificate is not None:
+        verify_theorem2_construction(instance.A, k, outcome.certificate)
     return outcome

@@ -70,7 +70,7 @@ def test_03_hand_instances():
     assert abs(solve.distance - 1.0 / math.sqrt(5.0)) <= 1e-9
     cert = extract_certificate(P, 1, solve)
     assert abs(cert.gap - 0.2) <= 1e-6
-    assert verify_theorem2_construction(np.array([[2.0, 1.0]]), 1, cert).passed
+    verify_theorem2_construction(np.array([[2.0, 1.0]]), 1, cert)  # raises on failure
 
     P2 = null_projector(np.array([[1.0, 1.0]]))
     solve2 = dual_distance(P2, 1, [1.0])
@@ -245,8 +245,7 @@ class TestCriterion9StructuralInvariants:
             inst = sample_gaussian_matrix(ProblemShape(n=60, m=45, k=20), seed)
             out = estimate_failure(inst, 20)
             if out.verdict is Verdict.CertifiedFailure:
-                report = verify_theorem2_construction(inst.A, 20, out.certificate)
-                assert report.passed
+                verify_theorem2_construction(inst.A, 20, out.certificate)
                 produced += 1
         assert produced >= 10  # regime chosen so most seeds certify
 

@@ -1,5 +1,7 @@
 import enum
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -17,8 +19,7 @@ PUBLIC_API = {
     "paper_rate", "run_suite",
     "GaussianInstance", "NullProjector", "ProblemShape", "derive_rep_seed",
     "null_projector", "sample_gaussian_matrix", "erfinv",
-    "Certificate", "ConstructionReport", "DualSolve",
-    "TauOutcome", "Verdict", "bit_flip_search",
+    "Certificate", "DualSolve", "TauOutcome", "Verdict", "bit_flip_search",
     "dual_distance", "estimate_failure", "extract_certificate",
     "verify_theorem2_construction",
     "__version__",
@@ -31,8 +32,6 @@ SIGNATURES = {
     "CellResult": ("spec", "per_rep"),
     "CellSpec": ("n", "m", "k", "reps", "base_seed"),
     "Certificate": ("w", "head_l1", "tail_l1", "gap", "nullspace_residual"),
-    "ConstructionReport": ("passed", "l1_original", "l1_competitor",
-                           "measurement_residual"),
     "CurveSet": ("points",),
     "DualSolve": ("z_star", "distance", "iterations", "converged", "stopped_below"),
     "GaussianInstance": ("seed", "A"),
@@ -73,7 +72,7 @@ TRACED_CURVES = ("sec_lower_solve", "weak_beta", "sec_upper_beta", "erfinv")
 
 
 def test_public_names_are_pinned():
-    assert len(secthresh.__all__) == 40
+    assert len(secthresh.__all__) == 39
     assert sorted(secthresh.__all__) == sorted(PUBLIC_API)
     for name in secthresh.__all__:
         assert getattr(secthresh, name) is not None
@@ -122,3 +121,10 @@ def test_traced_names_are_looked_up_in_their_modules(monkeypatch):
     calls = _count_calls(monkeypatch, curves, ("weak_beta", "sec_upper_beta", "erfinv"))
     curves.emit_curves([0.5])
     assert all(count >= 1 for count in calls.values()), calls
+
+
+def test_readme_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

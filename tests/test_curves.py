@@ -339,6 +339,12 @@ class TestDomainChecksBeforeResiduals:
         with pytest.raises(DomainError):
             emit_curves([alpha])
 
+    def test_alpha_too_small_for_a_bracket(self):
+        with pytest.raises(DomainError, match="leaves no beta bracket"):
+            weak_beta(1e-6)
+        with pytest.raises(DomainError, match="leaves no beta bracket"):
+            sec_upper_beta(1e-6)
+
     @pytest.mark.parametrize("alpha", ["x", None, 10**400])
     def test_alpha_not_a_number(self, alpha):
         with pytest.raises(DomainError):

@@ -220,6 +220,14 @@ def cell_fields(results):
             for res in results]
 
 
+def test_run_suite_takes_a_generator():
+    cells = [CellSpec(n=24, m=18, k=k, reps=1) for k in (5, 9)]
+    from_list = run_suite(cells)
+    from_generator = run_suite(spec for spec in cells)
+    assert cell_fields(from_generator) == cell_fields(from_list)
+    assert rep_fields(from_generator) == rep_fields(from_list)
+
+
 def test_suite_on_one_pool_identical_across_workers(pool_sizes):
     serial = run_suite(MIXED_SUITE, workers=1)
     assert pool_sizes == []

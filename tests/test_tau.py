@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import secthresh.tau as tau
-from secthresh import (CertificateError, DomainError,
+from secthresh import (CertificateError, DomainError, DualSolve,
                        GaussianInstance, ProblemShape,
                        TauOutcome,
                        Verdict, bit_flip_search, dual_distance,
@@ -81,6 +81,16 @@ class TestDualDistance:
     def test_bad_sign_pattern(self):
         with pytest.raises(DomainError):
             dual_distance(_hand_projector(), 1, [2.0])
+        with pytest.raises(DomainError, match="must have length"):
+            dual_distance(_hand_projector(), 1, [1.0, 1.0])
+
+    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(5), np.zeros((1, 4)), 0.5,
+                                    [0.0, math.nan, 0.0, 0.0], [0.0, 0.0, math.inf, 0.0]],
+                             ids=["short", "long", "2-d", "scalar", "nan", "inf"])
+    def test_bad_warm_start_rejected(self, x0):
+        P = null_projector(sample_gaussian_matrix(ProblemShape(n=6, m=2, k=2), 0).A)
+        with pytest.raises(DomainError, match="x0 must be a finite vector of length n - k = 4"):
+            dual_distance(P, 2, np.ones(2), x0=x0)
 
 
 class TestPrimalReference:
@@ -149,13 +159,34 @@ class TestCertificates:
     def test_construction_recheck(self):
         P = _hand_projector()
         cert = extract_certificate(P, 1, dual_distance(P, 1, [1.0]))
-        report = verify_theorem2_construction(np.array([[2.0, 1.0]]), 1, cert)
-        assert report.passed
-        assert report.l1_competitor < report.l1_original
-        assert report.measurement_residual <= 1e-8
-        # Hand values: x = (0, 2/sqrt(5)) scaled by the certificate's norm.
-        assert abs(report.l1_original - cert.tail_l1) <= 1e-12
-        assert abs(report.l1_competitor - cert.head_l1) <= 1e-12
+        A = np.array([[2.0, 1.0]])
+        verify_theorem2_construction(A, 1, cert)
+        # Reversed, w carries more l1 mass on its head and leaves the null space.
+        flipped = dataclasses.replace(cert, w=cert.w[::-1].copy())
+        with pytest.raises(CertificateError, match=r"\|\|x \+ w\|\|_1 .* vs \|\|x\|\|_1"):
+            verify_theorem2_construction(A, 1, flipped)
+
+    def test_nonpositive_gap_refused(self):
+        # Every null-space vector of [1, 2] has twice as much l1 mass on its
+        # head as on its tail, whatever the solve says.
+        P = null_projector(np.array([[1.0, 2.0]]))
+        solve = DualSolve(z_star=np.array([1.0, -1.0]), distance=1.0, iterations=1,
+                          converged=True)
+        with pytest.raises(CertificateError, match="gap .* is not positive"):
+            extract_certificate(P, 1, solve)
+
+    @pytest.mark.parametrize("k", [-1, 0, 2, 7, 2.5, True])
+    @pytest.mark.parametrize("check", [
+        extract_certificate,
+        lambda P, k, solve: verify_theorem2_construction(
+            P.A, k, extract_certificate(P, 1, solve)),
+    ], ids=["extract_certificate", "verify_theorem2_construction"])
+    def test_k_outside_block_range_rejected(self, check, k):
+        P = _hand_projector()
+        solve = dual_distance(P, 1, [1.0])
+        message = "need 1 <= k < n=2" if type(k) is int else "k must be an integer"
+        with pytest.raises(DomainError, match=message):
+            check(P, k, solve)
 
 
 @pytest.mark.parametrize("scale", [1e155, 1e200, 1e-300])
@@ -173,7 +204,8 @@ class TestChecksFailClosed:
         P = _hand_projector()
         cert = extract_certificate(P, 1, dual_distance(P, 1, [1.0]))
         A = np.array([[2.0, 1.0]]) * scale
-        assert not verify_theorem2_construction(A, 1, cert).passed
+        with pytest.raises(CertificateError, match="construction"):
+            verify_theorem2_construction(A, 1, cert)
 
     def test_scaled_gaussian_matrix_not_certified(self, scale):
         A = np.random.default_rng(0).standard_normal((5, 12)) * scale
@@ -254,12 +286,20 @@ class TestEstimateFailure:
         with pytest.raises(DomainError, match=message):
             estimate_failure(inst, k)
 
+    def test_failed_construction_check_raises(self, monkeypatch):
+        P = _hand_projector()
+        cert = extract_certificate(P, 1, dual_distance(P, 1, [1.0]))
+        flipped = dataclasses.replace(cert, w=cert.w[::-1].copy())
+        monkeypatch.setattr(tau, "bit_flip_search", lambda P, k: TauOutcome(
+            best_b=np.ones(1), best_distance=1.0, certificate=flipped, flips_evaluated=1))
+        with pytest.raises(CertificateError, match="construction check failed"):
+            estimate_failure(GaussianInstance(seed=0, A=np.array([[2.0, 1.0]])), 1)
+
     def test_deep_failure_cell(self):
         inst = sample_gaussian_matrix(ProblemShape(n=200, m=180, k=74), 1)
         out = estimate_failure(inst, 74)
         assert out.verdict is Verdict.CertifiedFailure
-        report = verify_theorem2_construction(inst.A, 74, out.certificate)
-        assert report.passed
+        verify_theorem2_construction(inst.A, 74, out.certificate)
 
     def test_deep_success_cell(self):
         inst = sample_gaussian_matrix(ProblemShape(n=400, m=80, k=4), 1)
