@@ -178,8 +178,8 @@ def _report_outcome(outcome, n: int, m: int, k: int,
               "this does not prove recovery succeeds)")
         print(f"best distance: {outcome.best_distance:.12g}")
     print(f"flips evaluated: {outcome.flips_evaluated}")
-    if outcome.diagnostic:
-        print(f"diagnostic: {outcome.diagnostic}")
+    if outcome.unconverged_solves:
+        print(f"unconverged solves: {outcome.unconverged_solves}")
 
 
 def cmd_tau(args: argparse.Namespace) -> int:

@@ -70,22 +70,22 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class RepRecord:
-    """One rep's outcome.  An errored rep raised a library error; its verdict
-    is NotCertified and ``diagnostic`` names the error."""
+    """One rep's outcome.  ``error`` is empty unless the rep raised a library
+    error; then it reads "Type: message" and the verdict is NotCertified."""
 
     seed: int
     verdict: Verdict
     flips: int
     seconds: float
-    diagnostic: str = ""
-    errored: bool = False
+    unconverged_solves: int = 0
+    error: str = ""
 
 
 @dataclass(frozen=True)
 class CellResult:
     """A cell's reps.  ``failures`` counts certified failures and ``errors``
-    the reps that errored; both are out of ``spec.reps``.  The means are over
-    the reps that did not error, and read 0.0 if every rep errored."""
+    the reps with an ``error``; both are out of ``spec.reps``.  The means are
+    over the reps without one, and read 0.0 if every rep has one."""
 
     spec: CellSpec
     per_rep: tuple[RepRecord, ...]
@@ -96,7 +96,7 @@ class CellResult:
 
     @property
     def errors(self) -> int:
-        return sum(r.errored for r in self.per_rep)
+        return sum(bool(r.error) for r in self.per_rep)
 
     @property
     def paper_reference_rate(self) -> Optional[float]:
@@ -108,11 +108,11 @@ class CellResult:
 
     @property
     def mean_flips(self) -> float:
-        return _mean([r.flips for r in self.per_rep if not r.errored])
+        return _mean([r.flips for r in self.per_rep if not r.error])
 
     @property
     def mean_seconds(self) -> float:
-        return _mean([r.seconds for r in self.per_rep if not r.errored])
+        return _mean([r.seconds for r in self.per_rep if not r.error])
 
 
 def _mean(values: list) -> float:
@@ -185,12 +185,11 @@ def _run_rep(args: tuple[int, int, int, int]) -> RepRecord:
     try:
         outcome = estimate_failure(instance, k)
     except SecthreshError as exc:
-        return RepRecord(seed=seed, verdict=Verdict.NotCertified, flips=0,
-                         seconds=0.0, diagnostic=f"{type(exc).__name__}: {exc}",
-                         errored=True)
+        return RepRecord(seed=seed, verdict=Verdict.NotCertified, flips=0, seconds=0.0,
+                         error=f"{type(exc).__name__}: {exc}")
     return RepRecord(seed=seed, verdict=outcome.verdict, flips=outcome.flips_evaluated,
                      seconds=time.perf_counter() - started,
-                     diagnostic=outcome.diagnostic)
+                     unconverged_solves=outcome.unconverged_solves)
 
 
 # The next task index of the running suite, shared by the caller and its
@@ -242,11 +241,11 @@ def _one_blas_thread():
 def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
     """Run cells, any iterable of CellSpec, in order, every rep of the suite
     on ``workers`` processes: this one and ``workers - 1`` forked children,
-    which take reps from one shared index.  The results do not depend on the worker count.  A rep that
-    raises a library error is recorded as errored and never aborts its cell.
-    ``workers`` must lie in 1..MAX_WORKERS; no more processes run than there
-    are reps.  Every process runs its reps on one BLAS thread, so that N
-    processes keep N cores busy rather than oversubscribing them."""
+    which take reps from one shared index; the results do not depend on the
+    worker count.  A rep that raises a library error keeps it in ``error``
+    and never aborts its cell.  ``workers`` lies in 1..MAX_WORKERS; no more
+    processes run than there are reps.  Each process runs its reps on one
+    BLAS thread, so N processes keep N cores busy, not oversubscribed."""
     cells = list(cells)
     if not (1 <= _check_int(workers, "workers") <= MAX_WORKERS):
         raise DomainError(f"need 1 <= workers <= {MAX_WORKERS}, got {workers}")

@@ -122,7 +122,7 @@ class TauOutcome:
     best_distance: float
     certificate: Optional[Certificate]
     flips_evaluated: int
-    diagnostic: str = ""
+    unconverged_solves: int = 0
 
     @property
     def verdict(self) -> Verdict:
@@ -259,6 +259,7 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
 
     The candidate is w = -Q z*; at the optimum the supporting-hyperplane
     identity forces tail_l1(w) - head_l1(w) >= distance^2 up to solver slack.
+    ``solve.z_star`` must have shape (n,) for the n columns of the matrix.
     The gap and the null-space residual are re-measured arithmetically here,
     and a candidate failing either check raises instead of being returned.
     The residual check fails closed: an ||A||_F that overflows to inf or
@@ -266,6 +267,8 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
     """
     n = P.Dperp.shape[1]
     _check_block(k, n)
+    if np.shape(solve.z_star) != (n,):
+        raise DomainError(f"z_star must have shape ({n},), got {np.shape(solve.z_star)}")
     threshold = positivity_threshold(n)
     if not solve.converged or solve.stopped_below:
         raise DomainError("certificate extraction requires a solve run to its fixed point")
@@ -298,15 +301,20 @@ def verify_theorem2_construction(A: np.ndarray, k: int, cert: Certificate) -> No
     Builds x supported on the tail with x_j = -w_j there; then x + w agrees
     with w on the head and vanishes on the tail, so the construction fails l1
     recovery iff ||x + w||_1 < ||x||_1 and both vectors measure identically.
-    A construction that fails the check raises CertificateError with the
-    measured numbers.  The check fails closed: a zero or non-finite tolerance
-    (an ||A||_F that underflowed or overflowed) or a non-finite measurement
-    residual does not pass.
+    A must be a 2-D matrix with n columns and ``cert.w`` of shape (n,);
+    either refusal is a DomainError.  A construction that fails the check
+    raises CertificateError with the measured numbers.  The check fails
+    closed: a zero or non-finite tolerance (an ||A||_F that underflowed or
+    overflowed) or a non-finite measurement residual does not pass.
     """
     A = np.asarray(A, dtype=float)
-    w = cert.w
-    n = w.shape[0]
+    if A.ndim != 2:
+        raise DomainError(f"A must be a 2-D matrix, got shape {A.shape}")
+    n = A.shape[1]
     _check_block(k, n)
+    w = cert.w
+    if np.shape(w) != (n,):
+        raise DomainError(f"w must have shape ({n},), got {np.shape(w)}")
     x = np.zeros(n)
     x[n - k:] = -w[n - k:]
     l1_original = float(np.sum(np.abs(x)))
@@ -411,9 +419,8 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
         else:
             b[i] = -b[i]
             rejects += 1
-    note = f"unconverged-solves={unconverged}" if unconverged else ""
     return TauOutcome(best_b=b.copy(), best_distance=incumbent, certificate=cert,
-                      flips_evaluated=flips, diagnostic=note)
+                      flips_evaluated=flips, unconverged_solves=unconverged)
 
 
 def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:

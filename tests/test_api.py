@@ -37,10 +37,10 @@ SIGNATURES = {
     "GaussianInstance": ("seed", "A"),
     "NullProjector": ("Dperp", "rowspace", "A"),
     "ProblemShape": ("n", "m", "k"),
-    "RepRecord": ("seed", "verdict", "flips", "seconds", "diagnostic", "errored"),
+    "RepRecord": ("seed", "verdict", "flips", "seconds", "unconverged_solves", "error"),
     "SectionalLowerSolve": ("beta", "theta_hat", "alpha_bound"),
     "TauOutcome": ("best_b", "best_distance", "certificate", "flips_evaluated",
-                   "diagnostic"),
+                   "unconverged_solves"),
     "ThresholdPoint": ("alpha", "beta", "kind"),
     "bit_flip_search": ("P", "k"),
     "builtin_suite": ("name", "reps", "base_seed"),

@@ -14,7 +14,7 @@ import pytest
 import secthresh.cli as cli
 import secthresh.harness as harness
 import secthresh.tau as tau
-from secthresh import DomainError
+from secthresh import DomainError, ProblemShape, sample_gaussian_matrix
 from secthresh.cli import main
 from secthresh.harness import MAX_REPS
 from secthresh.instances import MAX_N
@@ -425,6 +425,22 @@ class TestCertifyCommand:
                                 "gap", "nullspace_residual"}
         assert abs(payload["gap"] - 0.2) <= 1e-6
         assert payload["b"] in ([1], [-1])
+
+    def test_unconverged_solves_reported(self, tmp_path, capsys, monkeypatch):
+        A = sample_gaussian_matrix(ProblemShape(n=30, m=20, k=8), 2).A
+        mat = tmp_path / "m.csv"
+        mat.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in A))
+        tau_argv = ("tau", "--n", "30", "--m", "20", "--k", "8", "--seed", "2")
+        certify_argv = ("certify", "--matrix", str(mat), "--k", "8")
+        for argv in (tau_argv, certify_argv):
+            assert run_cli(*argv) == 0
+            assert "unconverged" not in capsys.readouterr().out
+        # Capped at 3 iterations, none of the search's 17 solves converges.
+        monkeypatch.setattr(tau, "MAX_ITERATIONS", 3)
+        for argv in (tau_argv, certify_argv):
+            assert run_cli(*argv) == 0
+            assert capsys.readouterr().out.endswith(
+                "flips evaluated: 16\nunconverged solves: 17\n")
 
     def test_hand_balanced_instance(self, tmp_path, capsys):
         mat = tmp_path / "m.csv"

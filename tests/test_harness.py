@@ -12,9 +12,11 @@ import pytest
 
 import secthresh
 import secthresh.harness as harness
+import secthresh.tau as tau
 from secthresh import (CellResult, CellSpec, DomainError, NumericalError,
-                       RepRecord, Verdict, builtin_suite, builtin_tables,
-                       derive_rep_seed, paper_rate, run_suite)
+                       ProblemShape, RepRecord, Verdict, builtin_suite,
+                       builtin_tables, derive_rep_seed, estimate_failure,
+                       paper_rate, run_suite, sample_gaussian_matrix)
 from secthresh.harness import MAX_REPS
 
 from test_inner_solve import _single_thread_blas
@@ -115,8 +117,8 @@ class TestRunCell:
         assert res.errors == 3
         assert res.failures == 0
         for rec in res.per_rep:
-            assert rec.errored and rec.verdict is Verdict.NotCertified
-            assert rec.diagnostic == "NumericalError: forced"
+            assert rec.error == "NumericalError: forced"
+            assert rec.verdict is Verdict.NotCertified
         assert res.mean_flips == 0.0 and res.mean_seconds == 0.0
 
     def test_means_skip_errored_reps(self, monkeypatch):
@@ -133,7 +135,7 @@ class TestRunCell:
 
         monkeypatch.setattr(harness, "estimate_failure", first_rep_breaks)
         res = run_suite([spec])[0]
-        assert res.errors == 1 and res.per_rep[0].errored
+        assert res.errors == 1 and res.per_rep[0].error
         assert res.per_rep[1].flips == clean.flips > 0
         assert res.mean_flips == clean.flips
         assert res.mean_seconds == res.per_rep[1].seconds
@@ -143,7 +145,7 @@ class TestRunCell:
     def test_wall_clock_recorded(self):
         # A rep that did not error is timed around estimate_failure.
         [rec] = run_suite([CellSpec(n=30, m=20, k=8, reps=1, base_seed=2)])[0].per_rep
-        assert not rec.errored and rec.seconds > 0.0
+        assert not rec.error and rec.seconds > 0.0
 
     def test_reference_rate_joined(self):
         res = run_suite([CellSpec(n=400, m=80, k=10, reps=1)])[0]
@@ -151,11 +153,25 @@ class TestRunCell:
         assert res.per_rep[0].verdict is Verdict.NotCertified
 
 
+def test_unconverged_solves_recorded_per_rep(monkeypatch):
+    spec = CellSpec(n=30, m=20, k=8, reps=3, base_seed=2)
+    assert [r.unconverged_solves for r in run_suite([spec])[0].per_rep] == [0, 0, 0]
+    # Capped at 3 iterations, every rep's search has unconverged solves, and
+    # each rep carries its own count, from any worker.
+    monkeypatch.setattr(tau, "MAX_ITERATIONS", 3)
+    want = [estimate_failure(sample_gaussian_matrix(ProblemShape(n=30, m=20, k=8), seed),
+                             8).unconverged_solves
+            for seed in (derive_rep_seed(2, r) for r in range(3))]
+    assert min(want) > 0
+    for workers in (1, 2):
+        assert [r.unconverged_solves for r in run_suite([spec], workers)[0].per_rep] == want
+
+
 def test_cell_counts_derived_from_reps():
     spec = CellSpec(n=800, m=80, k=14, reps=3)
     reps = (RepRecord(seed=1, verdict=Verdict.CertifiedFailure, flips=4, seconds=0.5),
             RepRecord(seed=2, verdict=Verdict.NotCertified, flips=0, seconds=0.0,
-                      diagnostic="NumericalError: forced", errored=True),
+                      error="NumericalError: forced"),
             RepRecord(seed=3, verdict=Verdict.NotCertified, flips=10, seconds=1.5))
     cell = CellResult(spec=spec, per_rep=reps)
     assert (cell.failures, cell.errors) == (1, 1)
@@ -211,7 +227,7 @@ def pool_sizes(monkeypatch):
 
 
 def rep_fields(results):
-    return [[(r.seed, r.verdict, r.flips, r.errored) for r in res.per_rep]
+    return [[(r.seed, r.verdict, r.flips, r.error) for r in res.per_rep]
             for res in results]
 
 
@@ -379,7 +395,7 @@ def traced(task):
     record = run_rep(task)
     child_ran.set()
     where = "caller" if os.getpid() == caller else "child"
-    return dataclasses.replace(record, diagnostic=f"{where}:{threads()}")
+    return dataclasses.replace(record, error=f"{where}:{threads()}")
 
 def raising(task):
     raise RuntimeError("a rep that raises")
@@ -393,7 +409,7 @@ try:
     run_suite([CellSpec(n=24, m=18, k=9, reps=1)])
 except RuntimeError:
     pass
-print(before == after == threads(), sorted({r.diagnostic for r in cell.per_rep}))
+print(before == after == threads(), sorted({r.error for r in cell.per_rep}))
 """
 
 

@@ -188,6 +188,22 @@ class TestCertificates:
         with pytest.raises(DomainError, match=message):
             check(P, k, solve)
 
+    def test_z_star_of_wrong_shape_refused(self):
+        solve = DualSolve(z_star=np.ones(3), distance=1.0, iterations=1, converged=True)
+        with pytest.raises(DomainError, match=r"z_star must have shape \(2,\), got \(3,\)"):
+            extract_certificate(_hand_projector(), 1, solve)
+
+    @pytest.mark.parametrize("A, w, message", [
+        (np.ones((1, 3)), np.array([-0.2, 0.4]), r"w must have shape \(3,\), got \(2,\)"),
+        ([[2.0, 1.0]], np.array([[-0.2], [0.4]]), r"w must have shape \(2,\), got \(2, 1\)"),
+        ([2.0, 1.0], np.array([-0.2, 0.4]), r"A must be a 2-D matrix, got shape \(2,\)"),
+    ], ids=["short-w", "column-w", "1-d-A"])
+    def test_construction_inputs_of_wrong_shape_refused(self, A, w, message):
+        P = _hand_projector()
+        cert = extract_certificate(P, 1, dual_distance(P, 1, [1.0]))
+        with pytest.raises(DomainError, match=message):
+            verify_theorem2_construction(A, 1, dataclasses.replace(cert, w=w))
+
 
 @pytest.mark.parametrize("scale", [1e155, 1e200, 1e-300])
 class TestChecksFailClosed:
@@ -319,6 +335,24 @@ class TestOptionsAndOutcome:
             out = TauOutcome(best_b=np.ones(1), best_distance=1.0,
                              certificate=certificate, flips_evaluated=0)
             assert out.verdict is verdict
+
+    def test_unconverged_solves_counted(self, monkeypatch):
+        inst = sample_gaussian_matrix(ProblemShape(n=30, m=20, k=8), 2)
+        assert estimate_failure(inst, 8).unconverged_solves == 0
+        # Capped at 3 iterations, no solve of this search reaches its fixed point.
+        converged = []
+        solve = tau.dual_distance
+
+        def recorded(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            converged.append(result.converged)
+            return result
+
+        monkeypatch.setattr(tau, "MAX_ITERATIONS", 3)
+        monkeypatch.setattr(tau, "dual_distance", recorded)
+        out = estimate_failure(inst, 8)
+        assert out.unconverged_solves == converged.count(False) == len(converged) == 17
+        assert out.flips_evaluated == 16 and out.verdict is Verdict.NotCertified
 
     def test_custom_options_accepted(self, monkeypatch):
         # The settings are read at call time.  At the default cap this search
