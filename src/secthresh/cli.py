@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curves import MAX_GRID_POINTS, XI_SK_DEFAULT, CurveKind, emit_curves
-from .errors import DomainError, SecthreshError
+from .errors import DomainError, SecthreshError, count, matrix, real, writable
 from .harness import MAX_REPS, MAX_WORKERS, CellSpec, builtin_suite, run_suite
 from .instances import GaussianInstance, ProblemShape, sample_gaussian_matrix
 from .tau import Verdict, estimate_failure
@@ -38,22 +38,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _CURVE_ORDER = (CurveKind.WeakExact, CurveKind.SectionalLower, CurveKind.SectionalUpper)
-
-
-def _check_writable(*paths: Optional[str]) -> None:
-    """Refuse an empty or unwritable output path before any work; skip None."""
-    for path in paths:
-        if path is None:
-            continue
-        if not path:
-            raise DomainError(f"cannot write {path!r}: empty path")
-        directory = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(directory):
-            raise DomainError(f"cannot write {path!r}: no directory {directory!r}")
-        if not os.access(directory, os.W_OK | os.X_OK):
-            raise DomainError(f"cannot write {path!r}: directory {directory!r} is not writable")
-        if os.path.isdir(path):
-            raise DomainError(f"cannot write {path!r}: Is a directory")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -73,22 +57,16 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise DomainError(f"grid must be START:STOP:STEP, got {spec!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
+    try:  # ValueError: not three fields, or one that is no finite number
+        start, stop, step = (real(float(p), "grid field") for p in spec.split(":"))
     except ValueError as exc:
-        raise DomainError(f"grid has a non-numeric field: {spec!r}") from exc
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise DomainError(f"grid fields must be finite, got {spec!r}")
+        raise DomainError(f"grid must be START:STOP:STEP in finite numbers, got {spec!r}") from exc
     if step <= 0 or stop < start:
         raise DomainError(f"grid must ascend with positive step, got {spec!r}")
     steps = (stop - start) / step + 1e-9
     if steps >= MAX_GRID_POINTS:
         raise DomainError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    count = int(steps) + 1
-    return [round(start + i * step, 12) for i in range(count)]
+    return [round(start + i * step, 12) for i in range(int(steps) + 1)]
 
 
 def _curves_svg(points_by_kind: dict[CurveKind, list[tuple[float, float]]]) -> str:
@@ -133,7 +111,7 @@ def _curves_svg(points_by_kind: dict[CurveKind, list[tuple[float, float]]]) -> s
 
 def cmd_curves(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    _check_writable(args.out, args.svg)
+    writable(args.out, args.svg)
     curve_set = emit_curves(grid, xi_sk=args.xi_sk)
     lines = ["curve,alpha,beta"]
     by_kind: dict[CurveKind, list[tuple[float, float]]] = {}
@@ -183,22 +161,20 @@ def _report_outcome(outcome, n: int, m: int, k: int,
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
-    # CellSpec holds the cell rules (n <= MAX_N, m < n, 1 <= k < m) and
-    # raises DomainError before anything is sampled.
-    CellSpec(n=args.n, m=args.m, k=args.k, reps=1)
-    _check_writable(args.emit_certificate)
-    instance = sample_gaussian_matrix(ProblemShape(n=args.n, m=args.m, k=args.k), args.seed)
+    # The shape and the library's block rule 1 <= k < n, before any sampling.
+    shape = ProblemShape(n=args.n, m=args.m, k=args.k)
+    count(args.k, "k", 1, args.n - 1, "n")
+    writable(args.emit_certificate)
+    instance = sample_gaussian_matrix(shape, args.seed)
     outcome = estimate_failure(instance, args.k)
     _report_outcome(outcome, args.n, args.m, args.k, args.emit_certificate)
     return EXIT_OK
 
 
-def _suite_int(value) -> int:
-    # A suite number is a JSON int or an integral float.  int() would read
-    # true as 1, "2" as 2 and truncate 30.7 to 30.
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{value!r} is not an integer")
+def _integral(text: str):
+    """A JSON number without a fraction (30.0) as an int, so it can pass the count rule."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
 
 
 def _parse_cell(text: str) -> tuple[int, int, int]:
@@ -218,8 +194,8 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
         return [CellSpec(n=n, m=m, k=k, reps=args.reps, base_seed=args.seed)]
     try:
         with open(args.suite) as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(handle, parse_float=_integral)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or JSON
         raise DomainError(f"cannot read suite spec {args.suite!r}: {exc}") from exc
     if not isinstance(raw, list):
         raise DomainError("suite spec must be a JSON list of cells")
@@ -229,10 +205,8 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
             unknown = set(entry) - {"n", "m", "k", "reps"}
             if unknown:
                 raise ValueError(f"unknown key {min(map(repr, unknown))}")
-            cells.append(CellSpec(n=_suite_int(entry["n"]), m=_suite_int(entry["m"]),
-                                  k=_suite_int(entry["k"]),
-                                  reps=_suite_int(entry.get("reps", args.reps)),
-                                  base_seed=args.seed))
+            cells.append(CellSpec(n=entry["n"], m=entry["m"], k=entry["k"],
+                                  reps=entry.get("reps", args.reps), base_seed=args.seed))
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed suite cell {entry!r}: {exc}") from exc
     return cells
@@ -240,7 +214,7 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cells = _load_suite(args)
-    _check_writable(args.out)
+    writable(args.out)
     workers = args.workers or min(os.cpu_count() or 1, MAX_WORKERS)
     results = run_suite(cells, workers=workers)
     lines = ["n,m,k,reps,failures,rate,paper_rate,mean_flips,errors,mean_seconds"]
@@ -267,7 +241,7 @@ def _read_matrix_csv(path: str) -> np.ndarray:
     try:
         with open(path) as handle:
             rows = [line for line in handle if line.strip()]
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a null byte in the path
         raise DomainError(f"cannot read matrix file {path!r}: {exc}") from exc
     if not rows:
         raise DomainError(f"matrix file {path!r} is empty")
@@ -288,10 +262,9 @@ def _read_matrix_csv(path: str) -> np.ndarray:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    _check_writable(args.emit_certificate)
-    A = _read_matrix_csv(args.matrix)
+    writable(args.emit_certificate)
+    A = matrix(_read_matrix_csv(args.matrix))  # the shape rule, before any work
     m, n = A.shape
-    ProblemShape(n=n, m=m, k=args.k)  # raises on a bad shape before any work
     # Far from unit scale ||A||_F overflows or underflows and no certificate
     # re-checks; a power-of-two rescale is exact and keeps the null space.
     peak = float(np.max(np.abs(A)))
@@ -300,8 +273,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         A = np.ldexp(A, -e)
         print(f"note: matrix rescaled by 2^{-e} (max |entry| was {peak:.6g})")
     instance = GaussianInstance(seed=0, A=A)
-    # estimate_failure rejects k outside [1, n) before it factors A, and
-    # raises CertificateError when a certificate's construction fails.
+    # estimate_failure checks 1 <= k < n before it factors A.
     outcome = estimate_failure(instance, args.k)
     _report_outcome(outcome, n, m, args.k, args.emit_certificate)
     return EXIT_OK

@@ -21,9 +21,8 @@ bisection, and every returned root is certified by the residual held at it.
 The scan refuses to proceed if it sees more than one sign change, so an
 unexpected multi-root geometry fails loudly instead of returning garbage.
 
-Each input is checked once, where it enters, and nothing that a bracket
-guarantees is checked again; a non-number raises :class:`DomainError` like a
-value out of range.  ``weak_beta`` and ``sec_upper_beta`` check alpha and
+Each input is checked once, where it enters, by the rules of
+:mod:`secthresh.errors`.  ``weak_beta`` and ``sec_upper_beta`` check alpha and
 ``xi_sk`` before the scan, whose points lie in ``[1e-6, alpha - 1e-6]``, and
 then evaluate the unchecked ``_residual``.  A root costs about 425 residual
 evaluations, each one ``erfinv`` call, looked up in this module.
@@ -45,8 +44,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-from .errors import DomainError, NumericalError
-from .special import _real, erfinv
+from .errors import DomainError, NumericalError, nonnegative, real
+from .special import erfinv
 
 #: Scaled Sherrington-Kirkpatrick ground-state energy constant used by the
 #: sectional upper bound.  Exposed so sensitivity to it can be explored.
@@ -97,20 +96,6 @@ class CurveSet:
         return [p for p in self.points if p.kind is kind]
 
 
-def _check_open_region(alpha: float, beta: float) -> tuple[float, float]:
-    alpha, beta = _real(alpha, "alpha"), _real(beta, "beta")
-    if not (0.0 < beta < alpha < 1.0):
-        raise DomainError(f"need 0 < beta < alpha < 1, got alpha={alpha!r} beta={beta!r}")
-    return alpha, beta
-
-
-def _check_xi_sk(xi_sk: float) -> float:
-    xi = _real(xi_sk, "xi_sk")
-    if not (math.isfinite(xi) and xi >= 0.0):
-        raise DomainError(f"xi_sk must be finite and >= 0, got {xi_sk!r}")
-    return xi
-
-
 def _residual(alpha: float, beta: float, denom: float) -> float:
     # Unchecked: callers guarantee 0 < beta < alpha < 1.  The weak equation
     # has denom = alpha, the sectional upper bound mg_ratio_closed_form.
@@ -124,7 +109,8 @@ def weak_residual(alpha: float, beta: float) -> float:
     Positive residual means beta is below the weak threshold at this alpha;
     the threshold itself is the root in beta.
     """
-    alpha, beta = _check_open_region(alpha, beta)
+    alpha = real(alpha, "alpha", 0.0, 1.0)
+    beta = real(beta, "beta", 0.0, alpha)
     return _residual(alpha, beta, alpha)
 
 
@@ -140,8 +126,9 @@ def mg_ratio_closed_form(alpha: float, beta: float, xi_sk: float) -> float:
 
 def sec_upper_residual(alpha: float, beta: float, xi_sk: float = XI_SK_DEFAULT) -> float:
     """Weak residual with alpha replaced by the inflated denominator."""
-    alpha, beta = _check_open_region(alpha, beta)
-    xi_sk = _check_xi_sk(xi_sk)
+    alpha = real(alpha, "alpha", 0.0, 1.0)
+    beta = real(beta, "beta", 0.0, alpha)
+    xi_sk = nonnegative(xi_sk, "xi_sk")
     return _residual(alpha, beta, mg_ratio_closed_form(alpha, beta, xi_sk))
 
 
@@ -226,9 +213,7 @@ def _root(f: Callable[[float], float], lo: float, hi: float, resid_tol: float) -
 
 def _beta_bracket(alpha: float) -> tuple[float, float, float]:
     """Alpha as a float, and the beta interval inside (0, alpha) a root scans."""
-    alpha = _real(alpha, "alpha")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = real(alpha, "alpha", 0.0, 1.0)
     lo, hi = 1e-6, alpha - _BRACKET_MARGIN
     if hi <= lo:
         raise DomainError(f"alpha={alpha!r} leaves no beta bracket")
@@ -244,7 +229,7 @@ def weak_beta(alpha: float) -> float:
 def sec_upper_beta(alpha: float, xi_sk: float = XI_SK_DEFAULT) -> float:
     """Root in beta of the sectional upper-bound equation at the given alpha."""
     alpha, lo, hi = _beta_bracket(alpha)
-    xi_sk = _check_xi_sk(xi_sk)
+    xi_sk = nonnegative(xi_sk, "xi_sk")
     return _root(lambda b: _residual(alpha, b, mg_ratio_closed_form(alpha, b, xi_sk)),
                  lo, hi, resid_tol=1e-9)
 
@@ -257,11 +242,9 @@ def sec_lower_solve(beta: float) -> SectionalLowerSolve:
     closed-form bound ``alpha_bound``.  The pair traces the lower-bound curve
     parametrically: beta is the ordinate, alpha_bound the abscissa.
     """
-    beta = _real(beta, "beta")
-    if not (0.0 < beta < 0.5):
-        # At beta >= 1/2 the theta equation's numerator is negative for every
-        # theta in (beta, 1), so the system has no solution at all.
-        raise DomainError(f"beta must lie in (0, 0.5), got {beta!r}")
+    # At beta >= 1/2 the theta equation's numerator is negative for every
+    # theta in (beta, 1), so the system has no solution at all.
+    beta = real(beta, "beta", 0.0, 0.5)
     theta = _root(lambda t: _sec_lower_theta_residual(t, beta),
                   beta + 1e-9, 1.0 - 1e-9, resid_tol=1e-10)
     alpha_bound = _sec_lower_alpha_bound(theta, beta)
@@ -308,13 +291,6 @@ def _xi_free_point(alpha: float) -> tuple[float, float]:
     return weak_beta(alpha), _interp(alpha, sweep_alpha, sweep_beta)
 
 
-def _grid_alpha(a: object) -> float:
-    alpha = _real(a, "grid alpha")
-    if not (0.02 < alpha < 0.98):
-        raise DomainError(f"grid alpha {alpha!r} outside supported range (0.02, 0.98)")
-    return alpha
-
-
 def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT) -> CurveSet:
     """Sample all three curves on an alpha grid.
 
@@ -325,8 +301,8 @@ def emit_curves(alphas: Iterable[float], xi_sk: float = XI_SK_DEFAULT) -> CurveS
     alpha (see the module docstring).  Emitted points are checked against the
     ordering invariant sec-lower <= sec-upper <= weak.
     """
-    xi_sk = _check_xi_sk(xi_sk)
-    grid = [_grid_alpha(a) for a in alphas]
+    xi_sk = nonnegative(xi_sk, "xi_sk")
+    grid = [real(a, "grid alpha", 0.02, 0.98) for a in alphas]
     out = CurveSet()
     if not grid:
         return out

@@ -22,16 +22,14 @@ side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional
 
-from .errors import DomainError, SecthreshError
-from .instances import (ProblemShape, _check_int, derive_rep_seed,
-                        sample_gaussian_matrix)
+from .errors import DomainError, SecthreshError, count, dimensions
+from .instances import (_OPENBLAS_THREADS, ProblemShape, _one_blas_thread,
+                        derive_rep_seed, sample_gaussian_matrix)
 from .tau import Verdict, estimate_failure
 
 # A suite's (cell, rep) tasks are listed before any rep runs, so the rep count
@@ -39,15 +37,6 @@ from .tau import Verdict, estimate_failure
 MAX_REPS = 100_000
 # Every worker but the caller is a forked process, so the count is capped.
 MAX_WORKERS = 256
-# The thread-count functions an OpenBLAS build may export, as (get, set) names,
-# and their C signatures: int get(void) and void set(int).
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-_GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)
-_SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)
 
 
 @dataclass(frozen=True)
@@ -61,11 +50,9 @@ class CellSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        ProblemShape(n=self.n, m=self.m, k=self.k)  # raises on a bad shape
-        if not (1 <= _check_int(self.k, "k") < self.m):
-            raise DomainError(f"need 1 <= k < m, got k={self.k} m={self.m}")
-        if not (1 <= _check_int(self.reps, "reps") <= MAX_REPS):
-            raise DomainError(f"need 1 <= reps <= {MAX_REPS}, got {self.reps}")
+        dimensions(self.n, self.m)
+        count(self.k, "k", 1, self.m - 1, "m")
+        count(self.reps, "reps", 1, MAX_REPS)
 
 
 @dataclass(frozen=True)
@@ -217,27 +204,6 @@ def _drain(tasks: list, index=None) -> list[tuple[int, RepRecord]]:
         done.append((i, _run_rep(tasks[i])))
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Every loaded OpenBLAS on one thread in the block, forked children too; then restored."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line})
-        pairs = [(_GET_THREADS((get, lib)), _SET_THREADS((put, lib)))
-                 for lib in map(ctypes.CDLL, paths) for get, put in _OPENBLAS_THREADS
-                 if hasattr(lib, get) and hasattr(lib, put)]
-    except OSError:  # no /proc/self/maps (not Linux), or a library that will not reopen
-        pairs = []
-    saved = [get() for get, _ in pairs]
-    for _, put in pairs:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), count in zip(pairs, saved):
-            put(count)
-
-
 def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
     """Run cells, any iterable of CellSpec, in order, every rep of the suite
     on ``workers`` processes: this one and ``workers - 1`` forked children,
@@ -247,8 +213,7 @@ def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
     processes run than there are reps.  Each process runs its reps on one
     BLAS thread, so N processes keep N cores busy, not oversubscribed."""
     cells = list(cells)
-    if not (1 <= _check_int(workers, "workers") <= MAX_WORKERS):
-        raise DomainError(f"need 1 <= workers <= {MAX_WORKERS}, got {workers}")
+    workers = count(workers, "workers", 1, MAX_WORKERS)
     tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r))
              for spec in cells for r in range(spec.reps)]
     workers = min(workers, len(tasks))

@@ -10,57 +10,41 @@ projector Q used by the dual solver.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
-import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import MAX_N, NumericalError, dimensions, matrix, seed64
 
 _TWO_NEG53 = 2.0 ** -53
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# Largest ambient dimension accepted.  Factoring an instance builds an n x n
-# orthonormal basis, 800 MB at this size; the embedded tables stop at n = 800.
-MAX_N = 10_000
-
-
-def _check_int(value, name: str) -> int:
-    """The count rule: an integer (numpy's included), not a bool.  Returns it
-    as a Python int."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_seed(seed, name: str) -> int:
-    """The seed rule: an integer with 0 <= seed < 2**64, so no two seeds (or
-    rep indices) alias one stream.  Returns it as a Python int."""
-    seed = _check_int(seed, name)
-    if not (0 <= seed < 2**64):
-        raise DomainError(f"{name} must be a 64-bit unsigned integer, got {seed}")
-    return seed
-
-
-def _check_dimensions(n: int, m: int) -> None:
-    """The dimension rule for an m x n instance: 0 < m < n <= MAX_N."""
-    if n > MAX_N:
-        raise DomainError(f"need n <= {MAX_N}, got n={n}")
-    if not (0 < m < n):
-        raise DomainError(f"need 0 < m < n, got m={m} n={n}")
+# The (get, set) thread-count functions an OpenBLAS may export: int get(), void set(int).
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+# One thread at a time pins the count; a forked child starts with the lock free.
+_blas_lock = threading.RLock()
+os.register_at_fork(after_in_child=_blas_lock._at_fork_reinit)
 
 
 @dataclass(frozen=True)
 class ProblemShape:
-    """Dimensions n (ambient) and m (measurements), and a support block k left unchecked."""
+    """Dimensions n and m with 0 < m < n <= MAX_N, and a block k left unchecked."""
 
     n: int
     m: int
     k: int
 
     def __post_init__(self):
-        _check_dimensions(_check_int(self.n, "n"), _check_int(self.m, "m"))
+        dimensions(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -162,11 +146,40 @@ def sample_gaussian_matrix(shape: ProblemShape, seed: int) -> GaussianInstance:
     Entries fill in row-major order from the seeded stream, so the same
     arguments reproduce the same matrix bit-for-bit.
     """
-    seed = _check_seed(seed, "seed")
+    seed = seed64(seed, "seed")
     entries = _philox_normals(seed, shape.m * shape.n)
     A = entries.reshape(shape.m, shape.n)
     A.setflags(write=False)
     return GaussianInstance(seed=seed, A=A)
+
+
+@functools.cache
+def _blas_thread_functions() -> tuple:
+    """(get, set) of every loaded OpenBLAS, found once; forked children inherit them."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line})
+        return tuple((getattr(lib, get), getattr(lib, put))
+                     for lib in map(ctypes.CDLL, paths) for get, put in _OPENBLAS_THREADS
+                     if hasattr(lib, get) and hasattr(lib, put))
+    except OSError:  # no /proc/self/maps (not Linux), or a library that will not reopen
+        return ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS on one thread in the block and its forks, one caller at a time."""
+    pairs = _blas_thread_functions()
+    with _blas_lock:
+        # A count of 1 is left alone: in a forked child a set restarts the thread pool.
+        saved = [(put, count) for get, put in pairs if (count := get()) != 1]
+        for put, _ in saved:
+            put(1)
+        try:
+            yield
+        finally:
+            for put, count in saved:
+                put(count)
 
 
 def null_projector(A: np.ndarray) -> NullProjector:
@@ -175,21 +188,20 @@ def null_projector(A: np.ndarray) -> NullProjector:
     Raises
     ------
     DomainError
-        If A is not 2-D or its shape breaks 0 < m < n <= MAX_N.
+        If A is not a 2-D array of real numbers or its shape breaks
+        0 < m < n <= MAX_N.
     NumericalError
         If A has a non-finite entry, if the SVD does not converge, or if A is
         (numerically) rank deficient: smallest singular value below 1e-8
         times the largest.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise DomainError(f"matrix must be 2-D, got ndim={A.ndim}")
-    m, n = A.shape
-    _check_dimensions(n, m)
+    A = matrix(A)
+    m = A.shape[0]
     if not np.isfinite(A).all():
         raise NumericalError("matrix has a non-finite entry")
     try:
-        _, s, vh = np.linalg.svd(A, full_matrices=True)
+        with _one_blas_thread():  # the SVD's bits move with the thread count
+            _, s, vh = np.linalg.svd(A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     if s[-1] <= 1e-8 * s[0]:
@@ -211,8 +223,8 @@ def derive_rep_seed(base_seed: int, rep_index: int) -> int:
     and deterministic, so per-rep streams can be pre-derived regardless of
     worker scheduling.
     """
-    base_seed = _check_seed(base_seed, "base_seed")
-    rep_index = _check_seed(rep_index, "rep_index")
+    base_seed = seed64(base_seed, "base_seed")
+    rep_index = seed64(rep_index, "rep_index")
     x = (base_seed + (rep_index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64

@@ -15,10 +15,9 @@ p > 0.5, erf otherwise) is chosen once for both steps.
 from __future__ import annotations
 
 import math
-import numbers
 from math import erf, erfc, exp, log, sqrt
 
-from .errors import DomainError
+from .errors import real
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2 = math.sqrt(2.0)
@@ -55,16 +54,6 @@ def _norm_quantile(p: float) -> float:
         ((((_B0 * r + _B1) * r + _B2) * r + _B3) * r + _B4) * r + 1.0)
 
 
-def _real(x: object, what: str) -> float:
-    """x as a float; anything but a real number that fits a float is refused."""
-    if isinstance(x, numbers.Real):
-        try:
-            return float(x)
-        except OverflowError:  # an int past the float range
-            pass
-    raise DomainError(f"{what} must be a real number, got {x!r}")
-
-
 def erfinv(p: float) -> float:
     """Inverse error function: the x with erf(x) = p, for -1 < p < 1.
 
@@ -85,10 +74,9 @@ def erfinv(p: float) -> float:
         If |p| >= 1, or p is nan or not a real number.  Any other real number,
         such as a numpy float32, is taken as the Python float it converts to.
     """
-    if type(p) is not float:  # the curve solvers pass floats: one test for them
-        p = _real(p, "erfinv's p")
-    if not -1.0 < p < 1.0:  # also refuses nan
-        raise DomainError(f"erfinv requires -1 < p < 1, got {p!r}")
+    # The curve solvers pass floats in range: two tests pass them.
+    if type(p) is not float or not -1.0 < p < 1.0:
+        p = real(p, "erfinv's p", -1.0, 1.0)
     if p < 0.0:
         return -erfinv(-p)
     # erfinv(p) = Phi^{-1}((1 + p) / 2) / sqrt(2).  Near 1, (1 + p) / 2 rounds

@@ -54,8 +54,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateError, DomainError
-from .instances import GaussianInstance, NullProjector, _check_int, null_projector
+from .errors import CertificateError, DomainError, count, floats, matrix, nonnegative
+from .instances import GaussianInstance, NullProjector, null_projector
 
 __all__ = [
     "DualSolve", "Certificate", "Verdict", "TauOutcome", "as_sign_pattern",
@@ -75,12 +75,6 @@ MAX_PASSES = 64          # search: cap of MAX_PASSES * k tentative flips
 def positivity_threshold(n: int) -> float:
     """Distance a solve must exceed to count as positive in dimension n."""
     return 1e-6 * np.sqrt(n)
-
-
-def _check_block(k: int, n: int) -> None:
-    """A tail block needs at least one coordinate and leaves a head."""
-    if not (1 <= _check_int(k, "k") < n):
-        raise DomainError(f"need 1 <= k < n={n}, got k={k}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,11 @@ class Certificate:
     w: np.ndarray
     head_l1: float
     tail_l1: float
-    gap: float
     nullspace_residual: float
+
+    @property
+    def gap(self) -> float:
+        return self.tail_l1 - self.head_l1
 
 
 class Verdict(Enum):
@@ -134,7 +131,7 @@ class TauOutcome:
 
 def as_sign_pattern(b, k: int) -> np.ndarray:
     """Validate and canonicalize a +-1 pattern of length k, as a new array."""
-    arr = np.array(b, dtype=float).ravel()
+    arr = floats(b, "sign pattern").flatten()
     if arr.shape != (k,):
         raise DomainError(f"sign pattern must have length {k}, got shape {arr.shape}")
     if not np.all(np.abs(arr) == 1.0):
@@ -224,9 +221,9 @@ def dual_distance(P: NullProjector, k: int, b,
         Warm start for the head block: a finite vector of length n - k,
         clipped to the box (defaults to zeros).
     stop_below : float, optional
-        Stop as soon as a boxed iterate lies within this distance of the row
-        space, which proves distance(b) <= stop_below; the result then has
-        ``stopped_below`` set.  Default: always solve to the fixed point.
+        Stop once a boxed iterate lies within this distance (finite, >= 0) of
+        the row space, which proves distance(b) <= stop_below; the result then
+        has ``stopped_below`` set.  Default: always solve to the fixed point.
 
     Returns
     -------
@@ -235,14 +232,14 @@ def dual_distance(P: NullProjector, k: int, b,
         distance recomputed as ||Dperp z_star|| at return.
     """
     n = P.Dperp.shape[1]
-    _check_block(k, n)
+    count(k, "k", 1, n - 1, "n")
     b = as_sign_pattern(b, k)
-    if stop_below is not None and not stop_below >= 0.0:
-        raise DomainError(f"stop_below must be nonnegative, got {stop_below}")
+    if stop_below is not None:
+        stop_below = nonnegative(stop_below, "stop_below")
     Dperp = P.Dperp
     M = Dperp[:, :n - k]
     c = Dperp[:, n - k:] @ b
-    start = np.zeros(n - k) if x0 is None else np.asarray(x0, dtype=float)
+    start = np.zeros(n - k) if x0 is None else floats(x0, "x0")
     if start.shape != (n - k,) or not np.isfinite(start).all():
         raise DomainError(f"x0 must be a finite vector of length n - k = {n - k}, "
                           f"got shape {start.shape}")
@@ -266,16 +263,15 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
     underflows to 0, or a non-finite ||A w||, proves nothing and raises.
     """
     n = P.Dperp.shape[1]
-    _check_block(k, n)
+    count(k, "k", 1, n - 1, "n")
     if np.shape(solve.z_star) != (n,):
         raise DomainError(f"z_star must have shape ({n},), got {np.shape(solve.z_star)}")
     threshold = positivity_threshold(n)
     if not solve.converged or solve.stopped_below:
         raise DomainError("certificate extraction requires a solve run to its fixed point")
     if solve.distance <= threshold:
-        raise DomainError(
-            f"distance {solve.distance:.3e} not above positivity threshold {threshold:.3e}"
-        )
+        raise DomainError(f"distance {solve.distance:.3e} not above positivity threshold "
+                          f"{threshold:.3e}")
     w = -P.apply_q(solve.z_star)
     head_l1 = float(np.sum(np.abs(w[:n - k])))
     tail_l1 = float(np.sum(np.abs(w[n - k:])))
@@ -291,8 +287,7 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
         raise CertificateError(
             f"null-space residual {residual:.3e} exceeds 1e-8 or rests on a zero or "
             f"non-finite norm (||A w|| {norm_aw:.3e}, ||A|| {norm_a:.3e})")
-    return Certificate(w=w, head_l1=head_l1, tail_l1=tail_l1, gap=gap,
-                       nullspace_residual=residual)
+    return Certificate(w=w, head_l1=head_l1, tail_l1=tail_l1, nullspace_residual=residual)
 
 
 def verify_theorem2_construction(A: np.ndarray, k: int, cert: Certificate) -> None:
@@ -307,11 +302,11 @@ def verify_theorem2_construction(A: np.ndarray, k: int, cert: Certificate) -> No
     closed: a zero or non-finite tolerance (an ||A||_F that underflowed or
     overflowed) or a non-finite measurement residual does not pass.
     """
-    A = np.asarray(A, dtype=float)
+    A = floats(A, "A")
     if A.ndim != 2:
         raise DomainError(f"A must be a 2-D matrix, got shape {A.shape}")
     n = A.shape[1]
-    _check_block(k, n)
+    count(k, "k", 1, n - 1, "n")
     w = cert.w
     if np.shape(w) != (n,):
         raise DomainError(f"w must have shape ({n},), got {np.shape(w)}")
@@ -372,7 +367,7 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
     be kept nor certified.  Every other solve runs to its fixed point.
     """
     n = P.Dperp.shape[1]
-    _check_block(k, n)
+    count(k, "k", 1, n - 1, "n")
     threshold = positivity_threshold(n)
     unconverged = 0
 
@@ -426,12 +421,14 @@ def bit_flip_search(P: NullProjector, k: int) -> TauOutcome:
 def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
     """Full pipeline for one instance: factor, search, check the construction.
 
-    Raises DomainError unless 1 <= k < n, before anything is factored, and
-    CertificateError when a certificate fails the construction check.
+    Raises DomainError unless A is a matrix of an instance's shape and
+    1 <= k < n, before anything is factored, and CertificateError when a
+    certificate fails the construction check.
     """
-    _check_block(k, np.shape(instance.A)[-1])
-    P = null_projector(instance.A)
+    A = matrix(instance.A)
+    count(k, "k", 1, A.shape[1] - 1, "n")
+    P = null_projector(A)
     outcome = bit_flip_search(P, k)
     if outcome.certificate is not None:
-        verify_theorem2_construction(instance.A, k, outcome.certificate)
+        verify_theorem2_construction(A, k, outcome.certificate)
     return outcome

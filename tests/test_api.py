@@ -4,11 +4,13 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import secthresh
 import secthresh.curves as curves
 import secthresh.tau as tau
-from secthresh import GaussianInstance, Verdict
+from secthresh import (DomainError, GaussianInstance, Verdict, dual_distance,
+                       estimate_failure, null_projector)
 
 PUBLIC_API = {
     "XI_SK_DEFAULT", "CurveKind", "CurveSet", "SectionalLowerSolve",
@@ -31,7 +33,7 @@ PUBLIC_API = {
 SIGNATURES = {
     "CellResult": ("spec", "per_rep"),
     "CellSpec": ("n", "m", "k", "reps", "base_seed"),
-    "Certificate": ("w", "head_l1", "tail_l1", "gap", "nullspace_residual"),
+    "Certificate": ("w", "head_l1", "tail_l1", "nullspace_residual"),
     "CurveSet": ("points",),
     "DualSolve": ("z_star", "distance", "iterations", "converged", "stopped_below"),
     "GaussianInstance": ("seed", "A"),
@@ -121,6 +123,27 @@ def test_traced_names_are_looked_up_in_their_modules(monkeypatch):
     calls = _count_calls(monkeypatch, curves, ("weak_beta", "sec_upper_beta", "erfinv"))
     curves.emit_curves([0.5])
     assert all(count >= 1 for count in calls.values()), calls
+
+
+# A wrong value or type of a data argument, a number or an array, raises
+# DomainError (README, "Library").
+DATA_PROBES = {
+    "sign-pattern-str": lambda P: dual_distance(P, 1, "x"),
+    "stop-below-str": lambda P: dual_distance(P, 1, [1.0], stop_below="x"),
+    "stop-below-inf": lambda P: dual_distance(P, 1, [1.0], stop_below=np.inf),
+    "x0-past-float-range": lambda P: dual_distance(P, 1, [1.0], x0=10**400),
+    "matrix-str": lambda P: null_projector("x"),
+    "ragged-matrix": lambda P: null_projector([[1.0, 2.0], [3.0]]),
+    "instance-matrix-scalar": lambda P: estimate_failure(GaussianInstance(seed=0, A=0), 1),
+    "construction-matrix-str": lambda P: tau.verify_theorem2_construction("x", 1, None),
+}
+
+
+@pytest.mark.parametrize("probe", DATA_PROBES.values(), ids=DATA_PROBES.keys())
+def test_data_arguments_raise_domain_error(probe):
+    P = null_projector(np.array([[2.0, 1.0]]))
+    with pytest.raises(DomainError):
+        probe(P)
 
 
 def test_readme_example_runs():

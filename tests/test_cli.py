@@ -155,6 +155,16 @@ class TestTauCommand:
         assert run_cli("tau", "--n", "100", "--m", "100", "--k", "5") == 2
         assert "error" in capsys.readouterr().err
 
+    def test_k_rule_is_the_library_rule(self, capsys):
+        # 1 <= k < n, as in certify and estimate_failure: k >= m runs.
+        assert run_cli("tau", "--n", "10", "--m", "6", "--k", "7", "--seed", "1") == 0
+        assert "verdict:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", ["0", "10"])
+    def test_k_outside_block_refused_before_sampling(self, capsys, nothing_runs, k):
+        assert run_cli("tau", "--n", "10", "--m", "6", "--k", k) == 2
+        assert capsys.readouterr().err == f"error: need 1 <= k < n=10, got k={k}\n"
+
     def test_small_failure_instance(self, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         code = run_cli("tau", "--n", "40", "--m", "30", "--k", "12",
@@ -310,6 +320,19 @@ class TestSimulateCommand:
                        "--workers", "1") == 0
         assert out.read_text().splitlines()[1].startswith("30,24,10,1,")
         capsys.readouterr()
+
+    @pytest.mark.parametrize("content", [b'[{"n": 30, "m": 24, "k": 10}\xe9]',
+                                         b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_suite_is_one_line(self, tmp_path, capsys, nothing_runs, content):
+        suite = tmp_path / "suite.json"
+        suite.write_bytes(content)
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--suite", str(suite), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: cannot read suite spec {str(suite)!r}: ")
+        assert not out.exists()
 
     def test_unreadable_suite(self, tmp_path, capsys):
         assert run_cli("simulate", "--suite", str(tmp_path / "missing.json"),
@@ -480,6 +503,14 @@ class TestCertifyCommand:
         assert run_cli("certify", "--matrix", str(mat), "--k", "1") == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [err.strip()] and err.strip().endswith(why)
+
+    def test_matrix_not_utf8_is_one_line(self, tmp_path, capsys, nothing_runs):
+        mat = tmp_path / "m.csv"
+        mat.write_bytes(b"2,1\n1,\xe9\n")
+        assert run_cli("certify", "--matrix", str(mat), "--k", "1") == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: cannot read matrix file {str(mat)!r}: ")
 
     def test_not_wide_rejected(self, tmp_path, capsys):
         mat = tmp_path / "m.csv"

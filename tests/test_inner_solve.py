@@ -230,13 +230,17 @@ def table2_outcome_digest():
 def _single_thread_blas(*argv):
     """stdout of ``python *argv`` in a child with single-threaded BLAS.
 
-    The search's bits depend on how many threads OpenBLAS splits a product
-    over, so its pins are taken with the thread count set before numpy loads,
-    as the benchmark runs it.
+    The pins are taken with the thread count set before numpy loads, as the
+    benchmark runs it.
     """
+    return _blas_child("1", *argv)
+
+
+def _blas_child(threads, *argv):
+    """stdout of ``python *argv`` in a child with ``threads`` BLAS threads."""
     here = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(here.parent / "src"), str(here)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -251,6 +255,14 @@ def test_table2_search_outcomes_pinned():
     # a verdict, a flip count, a best distance or pattern, or a certificate.
     code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
     assert _single_thread_blas("-c", code).strip() == (
+        "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40")
+
+
+def test_table2_search_outcomes_independent_of_blas_threads():
+    # The SVD, whose bits move with the thread count, runs on one BLAS thread
+    # in every process, so two threads give the pinned outcomes too.
+    code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
+    assert _blas_child("2", "-c", code).strip() == (
         "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40")
 
 

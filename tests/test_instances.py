@@ -1,4 +1,6 @@
 import hashlib
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 
 from secthresh import (DomainError, NumericalError, ProblemShape,
                        derive_rep_seed, null_projector, sample_gaussian_matrix)
-from secthresh.instances import _PHILOX_CHUNK, MAX_N, _philox_raw
+from secthresh.instances import (_PHILOX_CHUNK, MAX_N, _blas_thread_functions,
+                                 _one_blas_thread, _philox_raw)
 
 
 class TestProblemShape:
@@ -183,3 +186,38 @@ class TestDeriveRepSeed:
         # run as 5 and 1.
         with pytest.raises(DomainError, match="base_seed"):
             derive_rep_seed(base_seed, 0)
+
+
+def test_blas_pin_takes_turns_across_threads():
+    # The thread count is the process's: a second thread that pinned it while
+    # the first held it would save 1 and restore 1 for good.  It waits instead,
+    # and both leave the count as they found it.
+    counts = [get() for get, _ in _blas_thread_functions()]
+    order = []
+
+    def second():
+        with _one_blas_thread():
+            order.append("second")
+
+    with _one_blas_thread():
+        thread = threading.Thread(target=second)
+        thread.start()
+        thread.join(timeout=0.5)
+        order.append("first")
+    thread.join(timeout=60)
+    assert order == ["first", "second"]
+    assert [get() for get, _ in _blas_thread_functions()] == counts
+
+
+def test_pin_starts_no_thread_pool_in_a_forked_child():
+    # run_suite forks its children inside the pin, so they inherit a count of
+    # 1.  OpenBLAS restarts its thread pool in a forked child at the first set
+    # of the count, and the idle pool threads spin on the cores the reps use.
+    A = sample_gaussian_matrix(ProblemShape(n=30, m=12, k=0), 1).A
+    with _one_blas_thread():
+        pid = os.fork()
+        if pid == 0:
+            null_projector(A)
+            os._exit(len(os.listdir("/proc/self/task")))
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 1

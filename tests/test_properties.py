@@ -1,11 +1,12 @@
-"""Property tests: certificate soundness, the `certify` exit-code contract and
-`certify`'s scale invariance on small adversarial matrices.
+"""Property tests: certificate soundness, the `certify` exit-code contract,
+`certify`'s scale invariance on small adversarial matrices, and the exit-code
+contract of every CLI command on odd argv.
 
 Matrices are wide Gaussian draws, then bent: a duplicated column, a column
 scaled by up to 1e8 either way, a last row nearly (or exactly) a copy of the
 first, and a global scale of 1e-300 or 1e200, where ||A||_F underflows or
 overflows.  k ranges over 1..n-1, so k >= m is common.  Examples are
-derandomized, so every run checks the same matrices.
+derandomized, so every run checks the same matrices and argv.
 """
 
 import io
@@ -132,3 +133,83 @@ def test_certify_verdict_is_scale_invariant(data):
         x[n - k:] = -w[n - k:]
         assert np.abs(w[n - k:]).sum() > np.abs(w[:n - k]).sum()
         assert np.abs(x + w).sum() < np.abs(x).sum()
+
+
+# The CLI grammar sweep.  Each option of a command is left out or given a
+# value from a pool of odd strings; a file option gets a file of odd bytes or
+# an odd path, and an output option an odd path, relative to a fresh working
+# directory that holds a directory "sub".  A valid value in the pools keeps
+# the work small: n <= 12 and at most a few dozen reps.
+CLI_OPTIONS = {
+    "curves": ("--grid", "--xi-sk", "--out", "--svg"),
+    "tau": ("--n", "--m", "--k", "--seed", "--emit-certificate"),
+    "simulate": ("--builtin", "--suite", "--cell", "--reps", "--seed", "--out", "--workers"),
+    "certify": ("--matrix", "--k", "--emit-certificate"),
+}
+ODD_VALUES = (
+    "0", "1", "2", "3", "7", "12", "-1", "-0", "100001", str(2**64 - 1), str(2**64),
+    "9" * 5000, "1e400", "1e155", "1e300", "5e-324", "nan", "inf", "-inf", "1.5", "0x10",
+    "1_0", "\u0663", "\uff11", "x", "", " ", "\x00", "--", "-h", "table3",
+    "0.5:0.5:0.1", "0.2:0.8:0.3", "0:1:0.1", "0.1:0.9:1e-7", "0.9:0.1:-0.1", "1:2",
+    "12,6,3", "12,6,7", "12,6", "12,6,x", "12,6,3,1", ",,",
+)
+ODD_BYTES = (
+    b"", b"\x00", b"\xe9", b"\xff\xfe2,1\n", b"\xef\xbb\xbf2,1\n", b"[" * 100_000,
+    b"[" * 400 + b"]" * 400, b"2,1\n", b"1,1\n", b"0,0\n", b"1,2,3\n2,4,6\n",
+    b"1,2,3\n4,5\n", b"1,2,\n", b"1;2\n", b"# c\n1,2\n", b"nan,1\n", b"1e308,1e-308,1\n",
+    b"1e200,1e-200,3\n", b"5e-324,1\n", b"1,2\r\n3,4,5\r\n", b"1,2,3,4,5,6,7,8,9,10,11,12\n" * 3,
+    b'[{"n": 12, "m": 6, "k": 3, "reps": 1}]', b'[{"n": 12.0, "m": 6, "k": 5, "reps": 2}]',
+    b'[{"n": 12, "m": 6, "k": 7}]', b'[{"n": 1e400, "m": 6, "k": 3}]', b'[{"n": NaN}]',
+    b'[{"n": 12, "m": 6, "k": 3, "reps": true}]', b'[{"n": 12, "m": 6, "k": 3, "rep": 1}]',
+    b"[1]", b"[null]", b"{}", b'[["n", "m", "k"]]', b'["nmk"]',
+)
+ODD_PATHS = ("", "out", "missing/out", ".", "..", "sub", "sub/", "-", "a\x00b", "x" * 300)
+FILE_OPTIONS = {"--suite", "--matrix"}
+OUTPUT_OPTIONS = {"--out", "--svg", "--emit-certificate"}
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one command; a bytes entry stands for a file holding it."""
+    command = draw(st.sampled_from(sorted(CLI_OPTIONS)))
+    argv = [command]
+    for option in draw(st.permutations(CLI_OPTIONS[command])):
+        if draw(st.integers(0, 2)) == 0:
+            continue
+        if option in FILE_OPTIONS:
+            value = draw(st.sampled_from(ODD_BYTES) | st.sampled_from(ODD_PATHS))
+        elif option in OUTPUT_OPTIONS:
+            value = draw(st.sampled_from(ODD_PATHS) | st.sampled_from(ODD_VALUES))
+        else:
+            value = draw(st.sampled_from(ODD_VALUES))
+        argv += [option, value]
+    if draw(st.integers(0, 19)) == 0:
+        argv.append(draw(st.sampled_from(ODD_VALUES)))
+    return argv
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(argv=cli_argv())
+def test_cli_grammar_sweep(argv):
+    # Any argv exits 0, 2 or 3 with at most one line on stderr: no traceback
+    # and no warning.  The test suite turns a RuntimeWarning into an error.
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "sub"))
+        args = []
+        for i, token in enumerate(argv):
+            if isinstance(token, bytes):
+                path = os.path.join(tmp, f"in{i}")
+                with open(path, "wb") as handle:
+                    handle.write(token)
+                token = path
+            args.append(token)
+        os.chdir(tmp)
+        try:
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(args)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3)
+    assert len(stderr.getvalue().splitlines()) <= 1
