@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curves import MAX_GRID_POINTS, XI_SK_DEFAULT, CurveKind, emit_curves
-from .errors import DomainError, SecthreshError, count, matrix, real, writable
+from .errors import DomainError, SecthreshError, count, matrix, real, seed64, writable
 from .harness import MAX_REPS, MAX_WORKERS, CellSpec, builtin_suite, run_suite
 from .instances import GaussianInstance, ProblemShape, sample_gaussian_matrix
 from .tau import Verdict, estimate_failure
@@ -199,6 +199,7 @@ def _load_suite(args: argparse.Namespace) -> list[CellSpec]:
         raise DomainError(f"cannot read suite spec {args.suite!r}: {exc}") from exc
     if not isinstance(raw, list):
         raise DomainError("suite spec must be a JSON list of cells")
+    seed64(args.seed, "base_seed")  # refused as itself, not as a malformed cell
     cells = []
     for entry in raw:
         try:

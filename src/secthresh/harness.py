@@ -2,18 +2,15 @@
 
 Each cell draws ``reps`` seeded Gaussian instances, runs the certification
 pipeline on each, and reports the fraction certified.  A suite lists every rep
-of every cell as one task list, and ``workers`` processes work it: the
-calling process and ``workers - 1`` forked children, each taking the next rep
-from one shared index, so every process stays busy across cell boundaries and
-none sits idle waiting for the others.  Per-rep seeds are pre-derived from the
-cell's base seed, so results are identical no matter how the work is
-scheduled or how many processes run it.  Each process samples its reps from
-the Philox4x64-10 stream that ``instances`` computes in numpy integer
-arithmetic, bit for bit numpy's ``Philox(key=seed)``, so no process loads
-numpy's ``random`` package.  Each rep is timed here, once, around
-``estimate_failure``: the factorization, the search and the certificate
-checks, not the sampling.  A cell keeps only its reps; its counts and means
-are computed from them.
+of every cell as one task list, and ``workers`` processes work it: the calling
+process and ``workers - 1`` children it forks.  Each takes the next rep from
+one shared index, a counter handed along a pipe, so none sits idle at a cell
+boundary; a child pickles its records into its own pipe.  Per-rep seeds are
+pre-derived from the cell's base seed, so results do not depend on the
+scheduling or on the worker count.  No process loads numpy's ``random``
+package: ``instances`` computes the Philox stream itself.  Each rep is timed
+here, once, around ``estimate_failure``: the factorization, the search and the
+certificate checks, not the sampling.
 
 The reference counts from the original simulation study are embedded for
 side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
@@ -22,12 +19,15 @@ side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional
 
-from .errors import DomainError, SecthreshError, count, dimensions
+from .errors import DomainError, SecthreshError, count, dimensions, seed64
 from .instances import (_OPENBLAS_THREADS, ProblemShape, _one_blas_thread,
                         derive_rep_seed, sample_gaussian_matrix)
 from .tau import Verdict, estimate_failure
@@ -53,6 +53,7 @@ class CellSpec:
         dimensions(self.n, self.m)
         count(self.k, "k", 1, self.m - 1, "m")
         count(self.reps, "reps", 1, MAX_REPS)
+        seed64(self.base_seed, "base_seed")
 
 
 @dataclass(frozen=True)
@@ -179,60 +180,74 @@ def _run_rep(args: tuple[int, int, int, int]) -> RepRecord:
                      unconverged_solves=outcome.unconverged_solves)
 
 
-# The next task index of the running suite, shared by the caller and its
-# pool children; each child receives it from the pool's initializer.
-_task_index = None
-
-
-def _share_index(index) -> None:
-    global _task_index
-    _task_index = index
-
-
-def _drain(tasks: list, index=None) -> list[tuple[int, RepRecord]]:
+def _drain(tasks: list, token: tuple[int, int]) -> list[tuple[int, RepRecord]]:
     """Run tasks by the shared index, lowest first, until none is left, and
-    return (task index, record) pairs.  ``index`` defaults to the one this
-    pool child was given."""
-    index = _task_index if index is None else index
+    return (task index, record) pairs.  The token pipe holds the index."""
     done = []
     while True:
-        with index.get_lock():
-            i = index.value
-            index.value = i + 1
+        i = int.from_bytes(os.read(token[0], 8), "little")
+        os.write(token[1], (i + 1).to_bytes(8, "little"))
         if i >= len(tasks):
             return done
         done.append((i, _run_rep(tasks[i])))
+
+
+def _fork_worker(tasks: list, token: tuple[int, int]):
+    """Fork a child to drain tasks into its own pipe; return its pid and the pipe."""
+    r, w = os.pipe()
+    if pid := os.fork():
+        os.close(w)
+        return pid, open(r, "rb")
+    try:
+        try:
+            result = _drain(tasks, token)
+        except BaseException as exc:
+            try:
+                result = pickle.loads(pickle.dumps(exc))
+            except Exception:
+                result = ChildProcessError(f"a worker raised {exc!r}")
+        with open(w, "wb") as pipe:
+            pickle.dump(result, pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
     """Run cells, any iterable of CellSpec, in order, every rep of the suite
     on ``workers`` processes: this one and ``workers - 1`` forked children,
     which take reps from one shared index; the results do not depend on the
-    worker count.  A rep that raises a library error keeps it in ``error``
-    and never aborts its cell.  ``workers`` lies in 1..MAX_WORKERS; no more
-    processes run than there are reps.  Each process runs its reps on one
-    BLAS thread, so N processes keep N cores busy, not oversubscribed."""
+    worker count.  A rep's library error is kept in its ``error``.  Any other
+    exception in a child is raised here with its type, a child that dies
+    without a result raises ChildProcessError, and no child outlives the call.
+    ``workers`` lies in 1..MAX_WORKERS; no more processes run than reps, each
+    on one BLAS thread."""
     cells = list(cells)
     workers = count(workers, "workers", 1, MAX_WORKERS)
     tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r))
              for spec in cells for r in range(spec.reps)]
-    workers = min(workers, len(tasks))
     with _one_blas_thread():
-        if workers > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            fork = multiprocessing.get_context("fork")
-            index = fork.Value("q", 0)
-            with ProcessPoolExecutor(max_workers=workers - 1, mp_context=fork,
-                                     initializer=_share_index, initargs=(index,)) as pool:
-                children = [pool.submit(_drain, tasks) for _ in range(workers - 1)]
-                done = _drain(tasks, index)
-                for child in children:
-                    done += child.result()
-            records = [record for _, record in sorted(done)]
-        else:
-            records = [_run_rep(t) for t in tasks]
-    # Records are in task order, so each cell's reps are the next spec.reps.
-    ordered = iter(records)
+        token, children, sent, codes = os.pipe(), [], None, []
+        os.write(token[1], bytes(8))
+        try:
+            for _ in range(min(workers, len(tasks)) - 1):
+                children.append(_fork_worker(tasks, token))
+            done = _drain(tasks, token)
+            sent = [pipe.read() for _, pipe in children]
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                if sent is None:  # the children may still be at work
+                    os.kill(pid, signal.SIGKILL)
+                codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            os.close(token[0])
+            os.close(token[1])
+    for (pid, _), blob, code in zip(children, sent, codes):
+        result = pickle.loads(blob) if code == 0 else ChildProcessError(
+            f"worker {pid} exited with status {code} and no result")
+        if isinstance(result, BaseException):
+            raise result
+        done += result
+    # Sorted by task index, each cell's reps are the next spec.reps.
+    ordered = (record for _, record in sorted(done))
     return [CellResult(spec, tuple(islice(ordered, spec.reps))) for spec in cells]

@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import importlib
 import json
@@ -203,9 +202,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("workers", ["-3", "5000"])
     def test_worker_count_bounded(self, tmp_path, capsys, monkeypatch, workers):
         def unreachable(*args, **kwargs):
-            raise AssertionError("a pool was started or a rep was run")
+            raise AssertionError("a child was forked or a rep was run")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
+        monkeypatch.setattr(os, "fork", unreachable)
         monkeypatch.setattr(harness, "_run_rep", unreachable)
         out = tmp_path / "r.csv"
         assert run_cli("simulate", "--cell", "30,24,12", "--reps", "5000",
@@ -249,6 +248,21 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == (f"error: base_seed must be a 64-bit unsigned integer, "
                                 f"got {seed}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("selector", [["--builtin", "table2"], ["--suite", "SUITE"]])
+    def test_seed_refused_as_itself_from_any_selector(self, tmp_path, capsys, nothing_runs,
+                                                      selector):
+        # The seed is checked where each cell is made; a suite file's cells
+        # are not blamed for it.
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps([{"n": 30, "m": 24, "k": 12}]))
+        selector = [str(suite) if arg == "SUITE" else arg for arg in selector]
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", *selector, "--seed", "-1", "--workers", "1",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: base_seed must be a 64-bit unsigned integer, got -1\n")
         assert not out.exists()
 
     def test_inline_cell_csv(self, tmp_path, capsys):

@@ -1,10 +1,9 @@
-import concurrent.futures
 import hashlib
 import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import time
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +75,12 @@ class TestCellSpec:
         # The shape rules are ProblemShape's, so the n cap holds for a cell.
         with pytest.raises(DomainError, match="n <="):
             CellSpec(n=2_000_000, m=2, k=1, reps=1)
+
+    @pytest.mark.parametrize("base_seed", ["x", -1, 2**64, 1.5, True])
+    def test_base_seed_outside_64_bits_rejected(self, base_seed):
+        # Checked where the cell is made, not first when its reps are seeded.
+        with pytest.raises(DomainError, match="base_seed"):
+            CellSpec(n=30, m=24, k=10, reps=1, base_seed=base_seed)
 
     def test_reps_cap(self):
         assert CellSpec(n=100, m=50, k=5, reps=MAX_REPS).reps == MAX_REPS
@@ -213,17 +218,19 @@ MIXED_SUITE = [CellSpec(n=30, m=24, k=12, reps=2, base_seed=1),
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every process pool started while the test runs."""
-    sizes = []
+def forks(monkeypatch):
+    """The pid of every child forked while the test runs."""
+    pids = []
+    fork = os.fork
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    return sizes
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
 
 
 def rep_fields(results):
@@ -244,25 +251,25 @@ def test_run_suite_takes_a_generator():
     assert rep_fields(from_generator) == rep_fields(from_list)
 
 
-def test_suite_on_one_pool_identical_across_workers(pool_sizes):
+def test_suite_on_one_pool_identical_across_workers(forks):
     serial = run_suite(MIXED_SUITE, workers=1)
-    assert pool_sizes == []
+    assert forks == []
     parallel = run_suite(MIXED_SUITE, workers=2)
-    assert pool_sizes == [1]  # one pool for all three cells, beside the caller
+    assert len(forks) == 1  # one child for all three cells, beside the caller
     assert rep_fields(serial) == rep_fields(parallel)
     assert cell_fields(serial) == cell_fields(parallel)
     assert [len(res.per_rep) for res in parallel] == [2, 3, 1]
     assert [r.seed for r in parallel[1].per_rep] == [derive_rep_seed(11, i) for i in range(3)]
 
 
-def test_more_workers_than_tasks(pool_sizes):
+def test_more_workers_than_tasks(forks):
     cells = MIXED_SUITE[:1]
     parallel = run_suite(cells, workers=8)
-    assert pool_sizes == [1]  # two processes for the two reps: the caller and a child
+    assert len(forks) == 1  # two processes for the two reps: the caller and a child
     assert rep_fields(parallel) == rep_fields(run_suite(cells))
-    # A single rep needs no pool at all.
+    # A single rep needs no child at all.
     run_suite([MIXED_SUITE[2]], workers=8)
-    assert pool_sizes == [1]
+    assert len(forks) == 1
 
 
 def test_caller_runs_reps_beside_its_children(monkeypatch):
@@ -291,22 +298,94 @@ def test_caller_runs_reps_beside_its_children(monkeypatch):
     assert cell_fields(two) == cell_fields(serial)
 
 
-def test_dead_child_surfaces_as_broken_pool(monkeypatch):
-    # The caller waits, at its first rep, for a child to take a rep and die.
-    caller = os.getpid()
+def _child_reps_do(monkeypatch, child, caller=None):
+    """A child calls child() in place of each rep it takes.  The caller waits
+    at its first rep until a child has taken one, then calls caller(), if
+    given, and runs its reps."""
+    caller_pid = os.getpid()
     child_took_rep = multiprocessing.get_context("fork").Event()
     run_rep = harness._run_rep
 
-    def child_dies(task):
-        if os.getpid() != caller:
+    def gated(task):
+        if os.getpid() != caller_pid:
             child_took_rep.set()
-            os._exit(1)
+            return child()
         assert child_took_rep.wait(timeout=120), "no child took a rep"
+        if caller is not None:
+            caller()
         return run_rep(task)
 
-    monkeypatch.setattr(harness, "_run_rep", child_dies)
-    with pytest.raises(BrokenProcessPool):
+    monkeypatch.setattr(harness, "_run_rep", gated)
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_dead_child_surfaces_as_broken_pool(monkeypatch):
+    _child_reps_do(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(ChildProcessError, match="exited with status 1 and no result"):
         run_suite(MIXED_SUITE, workers=2)
+
+
+def test_child_exception_keeps_its_type(monkeypatch):
+    # Only library errors become a rep's error; any other exception in a
+    # child reaches the caller as itself.
+    _child_reps_do(monkeypatch, lambda: _raise(LookupError("in a child")))
+    with pytest.raises(LookupError, match="in a child"):
+        run_suite(MIXED_SUITE, workers=2)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this")
+
+
+def test_unpicklable_child_exception_keeps_its_repr(monkeypatch):
+    _child_reps_do(monkeypatch, lambda: _raise(Unpicklable("held a lock")))
+    with pytest.raises(ChildProcessError, match=r"Unpicklable\('held a lock'\)"):
+        run_suite(MIXED_SUITE, workers=2)
+
+
+@pytest.fixture
+def reaps(monkeypatch, forks):
+    """The pids reaped through os.waitpid, hooked as bench/simulate.py hooks
+    it, while the test runs; forks lists the pids forked."""
+    pids = []
+
+    def waitpid(pid, options):
+        got, status, _usage = os.wait4(pid, options)
+        if got:
+            pids.append(got)
+        return got, status
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_every_child_forked_and_reaped_through_os(monkeypatch, forks, reaps):
+    # A memory probe that hooks os.fork and os.waitpid sees every child of a
+    # suite, and none is left once run_suite returns or raises.
+    assert rep_fields(run_suite(MIXED_SUITE, workers=3)) == rep_fields(run_suite(MIXED_SUITE))
+    assert len(forks) == 2 and sorted(reaps) == sorted(forks)
+    assert_no_child_left()
+    # A child dies; a child raises; the caller raises while its children
+    # are still busy, and they are killed.
+    for child, caller, raised in [(lambda: os._exit(1), None, ChildProcessError),
+                                  (lambda: _raise(SystemExit(3)), None, SystemExit),
+                                  (lambda: time.sleep(120), lambda: _raise(KeyError("caller")),
+                                   KeyError)]:
+        forks.clear(), reaps.clear()
+        _child_reps_do(monkeypatch, child, caller)
+        with pytest.raises(raised):
+            run_suite(MIXED_SUITE, workers=3)
+        assert len(forks) == 2 and sorted(reaps) == sorted(forks)
+        assert_no_child_left()
 
 
 def test_shared_index_hands_out_each_rep_once():
@@ -318,11 +397,11 @@ def test_shared_index_hands_out_each_rep_once():
 
 @pytest.fixture
 def no_reps_run(monkeypatch):
-    """Fail the test if a process pool starts or a rep runs."""
+    """Fail the test if a child is forked or a rep runs."""
     def unreachable(*args, **kwargs):
-        raise AssertionError("a pool was started or a rep was run")
+        raise AssertionError("a child was forked or a rep was run")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unreachable)
+    monkeypatch.setattr(os, "fork", unreachable)
     monkeypatch.setattr(harness, "_run_rep", unreachable)
 
 
@@ -333,8 +412,8 @@ def test_worker_count_bounded(no_reps_run, workers):
 
 
 def test_worker_cap_itself_accepted(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-    # One task needs no pool, whatever the cap allows.
+    monkeypatch.setattr(os, "fork", None)
+    # One task needs no child, whatever the cap allows.
     [cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=1)], workers=harness.MAX_WORKERS)
     assert len(cell.per_rep) == 1
 
@@ -351,9 +430,8 @@ def _run_child(code: str) -> str:
 
 
 def test_import_loads_neither_sampler_nor_pool():
-    # No process loads numpy.random (test_sampling_and_pool_never_load_numpy_random);
-    # the process pool and multiprocessing load on the first parallel suite,
-    # not on `import secthresh`.
+    # No process loads numpy.random (test_sampling_and_pool_never_load_numpy_random),
+    # and none loads the standard process pool (test_parallel_suite_loads_no_pool_modules).
     code = ("import sys, secthresh; "
             "print([m for m in ('numpy.random', 'concurrent.futures', 'multiprocessing') "
             "if m in sys.modules])")
@@ -371,6 +449,19 @@ def test_sampling_and_pool_never_load_numpy_random():
             "assert len(cell.per_rep) == 2; "
             "print('numpy.random' in sys.modules)")
     assert _run_child(code) == "False"
+
+
+def test_parallel_suite_loads_no_pool_modules():
+    # The pool is os.fork and pipes: a suite on two processes loads neither
+    # concurrent.futures nor multiprocessing, whose pages every child would
+    # also hold.
+    code = ("import sys; "
+            "from secthresh import CellSpec, run_suite; "
+            "[cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=2)], workers=2); "
+            "assert len(cell.per_rep) == 2; "
+            "print([m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')])")
+    assert _run_child(code) == "[]"
 
 
 BLAS_THREADS_CODE = """
