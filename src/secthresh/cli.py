@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from typing import Optional, Sequence
@@ -37,14 +38,19 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_CURVE_ORDER = (CurveKind.WeakExact, CurveKind.SectionalLower, CurveKind.SectionalUpper)
-
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    try:  # the mode open() leaves, not mkstemp's 0600: the file's own, or 0666 less the umask
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
+            os.fchmod(fd, mode)
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
             os.replace(tmp, path)
@@ -95,10 +101,7 @@ def _curves_svg(points_by_kind: dict[CurveKind, list[tuple[float, float]]]) -> s
         f'<text x="16" y="{height // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 16 {height // 2})">beta = k/n</text>',
     ]
-    for kind in _CURVE_ORDER:
-        pts = points_by_kind.get(kind, [])
-        if not pts:
-            continue
+    for kind, pts in points_by_kind.items():
         coords = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in pts)
         parts.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{colors[kind]}" stroke-width="2"/>')
@@ -115,7 +118,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     curve_set = emit_curves(grid, xi_sk=args.xi_sk)
     lines = ["curve,alpha,beta"]
     by_kind: dict[CurveKind, list[tuple[float, float]]] = {}
-    for kind in _CURVE_ORDER:
+    for kind in CurveKind:
         pts = [(p.alpha, p.beta) for p in curve_set.by_kind(kind)]
         by_kind[kind] = pts
         for a, b in pts:

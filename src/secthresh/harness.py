@@ -28,8 +28,7 @@ from itertools import islice
 from typing import Iterable, Optional
 
 from .errors import DomainError, SecthreshError, count, dimensions, seed64
-from .instances import (_OPENBLAS_THREADS, ProblemShape, _one_blas_thread,
-                        derive_rep_seed, sample_gaussian_matrix)
+from .instances import ProblemShape, _one_blas_thread, derive_rep_seed, sample_gaussian_matrix
 from .tau import Verdict, estimate_failure
 
 # A suite's (cell, rep) tasks are listed before any rep runs, so the rep count

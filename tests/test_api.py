@@ -94,33 +94,20 @@ def test_public_signatures_are_pinned():
         assert tuple(inspect.signature(getattr(secthresh, name)).parameters) == params, name
 
 
-def _count_calls(monkeypatch, module, names):
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(module, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_traced_names_are_looked_up_in_their_modules(monkeypatch):
+def test_traced_names_are_looked_up_in_their_modules(count_calls):
     for name in TRACED_TAU:
         assert callable(getattr(tau, name))
     for name in TRACED_CURVES:
         assert callable(getattr(curves, name))
 
-    calls = _count_calls(monkeypatch, tau, TRACED_TAU)
+    calls = count_calls(tau, *TRACED_TAU)
     A = np.array([[2.0, 1.0]])  # fails at the first pattern: every layer runs once
     instance = GaussianInstance(seed=0, A=A)
     assert tau.estimate_failure(instance, 1).verdict is Verdict.CertifiedFailure
     assert all(count >= 1 for count in calls.values()), calls
 
     curves._xi_free_point.cache_clear()  # a warm point would skip its weak root
-    calls = _count_calls(monkeypatch, curves, ("weak_beta", "sec_upper_beta", "erfinv"))
+    calls = count_calls(curves, "weak_beta", "sec_upper_beta", "erfinv")
     curves.emit_curves([0.5])
     assert all(count >= 1 for count in calls.values()), calls
 

@@ -253,27 +253,15 @@ class TestSecLowerSweepCache:
         assert isinstance(alphas, tuple) and isinstance(betas, tuple)
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    original = getattr(curves, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(curves, name, counted)
-    return calls
-
-
 class TestXiFreePointCache:
     GRID = [0.2, 0.5, 0.8]
 
-    def test_weak_roots_solved_once_across_xi(self, monkeypatch):
+    def test_weak_roots_solved_once_across_xi(self, count_calls):
         curves._xi_free_point.cache_clear()
-        calls = _count_calls(monkeypatch, "weak_beta")
+        calls = count_calls(curves, "weak_beta")
         uppers = [[p.beta for p in emit_curves(self.GRID, xi_sk=xi)
                    .by_kind(CurveKind.SectionalUpper)] for xi in (0.3, XI_SK_DEFAULT, 0.0)]
-        assert len(calls) == len(self.GRID)
+        assert calls["weak_beta"] == len(self.GRID)
         assert uppers[0] != uppers[1] != uppers[2]
 
     def test_cold_and_warm_points_are_bit_equal(self):
@@ -302,11 +290,11 @@ class TestXiFreePointCache:
     def test_bounded_at_grid_cap(self):
         assert curves._xi_free_point.cache_info().maxsize == curves.MAX_GRID_POINTS
 
-    def test_warm_call_solves_only_upper_roots(self, monkeypatch):
+    def test_warm_call_solves_only_upper_roots(self, count_calls):
         emit_curves(DEFAULT_GRID)
-        calls = _count_calls(monkeypatch, "erfinv")
+        calls = count_calls(curves, "erfinv")
         emit_curves(DEFAULT_GRID)
-        assert len(calls) == UPPER_ROOTS_ERFINV_CALLS
+        assert calls["erfinv"] == UPPER_ROOTS_ERFINV_CALLS
 
 
 class TestBitPins:
@@ -324,11 +312,8 @@ class TestDomainChecksBeforeResiduals:
     """Bad inputs are refused before any residual is evaluated."""
 
     @pytest.fixture(autouse=True)
-    def no_residual_runs(self, monkeypatch):
-        def unreachable(p):
-            raise AssertionError(f"a residual ran: erfinv({p!r})")
-
-        monkeypatch.setattr(curves, "erfinv", unreachable)
+    def no_residual_runs(self, forbid):
+        forbid(curves, "erfinv")
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan, math.inf])
     def test_alpha_outside_unit_interval(self, alpha):

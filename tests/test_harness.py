@@ -1,15 +1,11 @@
 import hashlib
 import multiprocessing
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import secthresh
 import secthresh.harness as harness
 import secthresh.tau as tau
 from secthresh import (CellResult, CellSpec, DomainError, NumericalError,
@@ -18,7 +14,7 @@ from secthresh import (CellResult, CellSpec, DomainError, NumericalError,
                        paper_rate, run_suite, sample_gaussian_matrix)
 from secthresh.harness import MAX_REPS
 
-from test_inner_solve import _single_thread_blas
+from conftest import drop_timing, run_child
 
 
 class TestBuiltinTables:
@@ -191,10 +187,9 @@ def test_table2_csv_pinned(tmp_path):
     # The harness half of the fixed-seed contract: the table2 CSV at 2 reps
     # and seed 0, every column but mean_seconds, byte for byte.
     out = tmp_path / "t2.csv"
-    _single_thread_blas("-m", "secthresh.cli", "simulate", "--builtin", "table2",
-                        "--reps", "2", "--seed", "0", "--workers", "2", "--out", str(out))
-    stable = "".join(",".join(line.split(",")[:-1]) + "\n"
-                     for line in out.read_text().splitlines())
+    run_child("-m", "secthresh.cli", "simulate", "--builtin", "table2", "--reps", "2",
+              "--seed", "0", "--workers", "2", "--out", str(out), blas_threads=1)
+    stable = "".join(line + "\n" for line in drop_timing(out.read_text()))
     assert hashlib.sha256(stable.encode()).hexdigest() == (
         "1ce0e3aa604df19b64131f85d543be358006212f8f74e8abc1fcd08a7cbce9f5")
 
@@ -322,7 +317,7 @@ def _raise(exc):
     raise exc
 
 
-def test_dead_child_surfaces_as_broken_pool(monkeypatch):
+def test_dead_child_raises_child_process_error(monkeypatch):
     _child_reps_do(monkeypatch, lambda: os._exit(1))
     with pytest.raises(ChildProcessError, match="exited with status 1 and no result"):
         run_suite(MIXED_SUITE, workers=2)
@@ -395,18 +390,10 @@ def test_shared_index_hands_out_each_rep_once():
     assert rep_fields(run_suite(cells, workers=5)) == rep_fields(run_suite(cells))
 
 
-@pytest.fixture
-def no_reps_run(monkeypatch):
-    """Fail the test if a child is forked or a rep runs."""
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a child was forked or a rep was run")
-
-    monkeypatch.setattr(os, "fork", unreachable)
-    monkeypatch.setattr(harness, "_run_rep", unreachable)
-
-
 @pytest.mark.parametrize("workers", [-3, 0, harness.MAX_WORKERS + 1, 5000, 2.0, True])
-def test_worker_count_bounded(no_reps_run, workers):
+def test_worker_count_bounded(forbid, workers):
+    forbid(os, "fork")
+    forbid(harness, "_run_rep")
     with pytest.raises(DomainError, match="workers"):
         run_suite([CellSpec(n=30, m=24, k=12, reps=5000)], workers=workers)
 
@@ -418,24 +405,13 @@ def test_worker_cap_itself_accepted(monkeypatch):
     assert len(cell.per_rep) == 1
 
 
-def _run_child(code: str) -> str:
-    """Run code in a fresh interpreter that imports this checkout's package."""
-    src = str(Path(secthresh.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
 def test_import_loads_neither_sampler_nor_pool():
     # No process loads numpy.random (test_sampling_and_pool_never_load_numpy_random),
     # and none loads the standard process pool (test_parallel_suite_loads_no_pool_modules).
     code = ("import sys, secthresh; "
             "print([m for m in ('numpy.random', 'concurrent.futures', 'multiprocessing') "
             "if m in sys.modules])")
-    assert _run_child(code) == "[]"
+    assert run_child("-c", code) == "[]"
 
 
 def test_sampling_and_pool_never_load_numpy_random():
@@ -448,7 +424,7 @@ def test_sampling_and_pool_never_load_numpy_random():
             "[cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=2)], workers=2); "
             "assert len(cell.per_rep) == 2; "
             "print('numpy.random' in sys.modules)")
-    assert _run_child(code) == "False"
+    assert run_child("-c", code) == "False"
 
 
 def test_parallel_suite_loads_no_pool_modules():
@@ -461,18 +437,16 @@ def test_parallel_suite_loads_no_pool_modules():
             "assert len(cell.per_rep) == 2; "
             "print([m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')])")
-    assert _run_child(code) == "[]"
+    assert run_child("-c", code) == "[]"
 
 
 BLAS_THREADS_CODE = """
-import ctypes, dataclasses, multiprocessing, os
+import dataclasses, multiprocessing, os
 import secthresh.harness as harness
 from secthresh import CellSpec, run_suite
+from secthresh.instances import _blas_thread_functions
 
-with open("/proc/self/maps") as maps:
-    paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line})
-getters = [getattr(lib, get) for lib in map(ctypes.CDLL, paths)
-           for get, put in harness._OPENBLAS_THREADS if hasattr(lib, get) and hasattr(lib, put)]
+getters = [get for get, _ in _blas_thread_functions()]
 if not getters:
     raise SystemExit(print("no setter"))
 threads = getters[0]
@@ -510,7 +484,7 @@ def test_reps_run_on_one_blas_thread(monkeypatch):
     # caller's reps and its children's on one thread, and then gives the
     # caller back its count, also after a rep raised.
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    out = _run_child(BLAS_THREADS_CODE)
+    out = run_child("-c", BLAS_THREADS_CODE)
     if out == "no setter":
         pytest.skip("no OpenBLAS thread-count setter in this process")
     assert out == "True ['caller:1', 'child:1']"

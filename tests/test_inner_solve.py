@@ -5,26 +5,19 @@ instances, its outcomes per rep on table1 and table2, and the certificate the
 
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 import secthresh.tau as tau
+from conftest import projector, run_child
 from oracles import box_lsq_reference
 from secthresh import (DomainError, ProblemShape, bit_flip_search,
                        builtin_suite, derive_rep_seed, dual_distance,
                        estimate_failure, extract_certificate, null_projector,
                        sample_gaussian_matrix)
-
-
-def _projector(n, m, k, seed):
-    return null_projector(sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed).A)
 
 
 def _search_solves(monkeypatch, P, k):
@@ -55,7 +48,7 @@ class TestLoopBitIdentity:
     @pytest.mark.parametrize("n, m, k, seed", [(400, 120, 21, 0), (200, 180, 66, 0),
                                                (300, 180, 44, 1)])
     def test_search_solves(self, monkeypatch, n, m, k, seed):
-        calls = _search_solves(monkeypatch, _projector(n, m, k, seed), k)
+        calls = _search_solves(monkeypatch, projector(n, m, k, seed), k)
         assert len(calls) >= 25
         # The first solve is cold; the rest start warm from an incumbent head.
         for M, c, x0 in calls[:25]:
@@ -85,7 +78,7 @@ class TestLoopBitIdentity:
 
     @pytest.mark.parametrize("cap", [30, 25])
     def test_iteration_cap(self, monkeypatch, cap):
-        P = _projector(400, 120, 21, 0)
+        P = projector(400, 120, 21, 0)
         M, c, x0 = _search_solves(monkeypatch, P, 21)[0]
         monkeypatch.setattr(tau, "MAX_ITERATIONS", cap)
         assert _assert_same_bits(M, c, x0) == (cap, False)
@@ -113,7 +106,7 @@ class TestEarlyStop:
     @pytest.mark.parametrize("n, m, k, seed", [(200, 180, 66, 0), (200, 140, 38, 1),
                                                (300, 180, 44, 2), (400, 120, 21, 2)])
     def test_stopped_solves_are_sound(self, monkeypatch, n, m, k, seed):
-        P = _projector(n, m, k, seed)
+        P = projector(n, m, k, seed)
         stopped = _stopped_solves(monkeypatch, P, k)
         assert len(stopped) >= 30
         for b, x0, bound, solve in stopped:
@@ -132,7 +125,7 @@ class TestEarlyStop:
             assert full.distance <= bound
 
     def test_bound_stops_at_a_fixed_point_test(self):
-        P = _projector(40, 30, 25, 0)
+        P = projector(40, 30, 25, 0)
         b = np.ones(25)
         full = dual_distance(P, 25, b)
         assert full.distance > 0.5 and full.iterations > 4 * tau.CHECK_EVERY
@@ -192,7 +185,7 @@ def test_search_call_sequence_pinned(monkeypatch):
     monkeypatch.setattr(tau, "extract_certificate", certify)
     for n, m, k, seed, passes in SEARCH_ENDINGS:
         monkeypatch.setattr(tau, "MAX_PASSES", passes or default_passes)
-        out = bit_flip_search(_projector(n, m, k, seed), k)
+        out = bit_flip_search(projector(n, m, k, seed), k)
         endings.append((out.verdict.value, out.flips_evaluated))
     assert endings == [("CertifiedFailure", 0), ("CertifiedFailure", 13),
                        ("NotCertified", 10), ("NotCertified", 4)]
@@ -227,34 +220,11 @@ def table2_outcome_digest():
     return h.hexdigest()
 
 
-def _single_thread_blas(*argv):
-    """stdout of ``python *argv`` in a child with single-threaded BLAS.
-
-    The pins are taken with the thread count set before numpy loads, as the
-    benchmark runs it.
-    """
-    return _blas_child("1", *argv)
-
-
-def _blas_child(threads, *argv):
-    """stdout of ``python *argv`` in a child with ``threads`` BLAS threads."""
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-               MKL_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(here.parent / "src"), str(here)]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_table2_search_outcomes_pinned():
     # Recorded before the early stop and the buffered loop: neither may move
     # a verdict, a flip count, a best distance or pattern, or a certificate.
     code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
-    assert _single_thread_blas("-c", code).strip() == (
+    assert run_child("-c", code, blas_threads=1) == (
         "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40")
 
 
@@ -262,21 +232,21 @@ def test_table2_search_outcomes_independent_of_blas_threads():
     # The SVD, whose bits move with the thread count, runs on one BLAS thread
     # in every process, so two threads give the pinned outcomes too.
     code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
-    assert _blas_child("2", "-c", code).strip() == (
+    assert run_child("-c", code, blas_threads=2) == (
         "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40")
 
 
 def test_table1_search_outcomes_pinned():
     # The table1 half of the fixed-seed contract: verdicts, flips and patterns.
     code = "import test_inner_solve as t; print(t.table1_outcome_digest())"
-    assert _single_thread_blas("-c", code).strip() == (
+    assert run_child("-c", code, blas_threads=1) == (
         "deac25f9e6d4b01060f796d83c9465752baec8a99ebb0aa8f326474ce79e31ac")
 
 
 def test_tau_certificate_pinned(tmp_path):
     # The certificate JSON of the `tau` contract cell, byte for byte.
     cert = tmp_path / "cert.json"
-    _single_thread_blas("-m", "secthresh.cli", "tau", "--n", "200", "--m", "180",
-                        "--k", "74", "--seed", "1", "--emit-certificate", str(cert))
+    run_child("-m", "secthresh.cli", "tau", "--n", "200", "--m", "180", "--k", "74",
+              "--seed", "1", "--emit-certificate", str(cert), blas_threads=1)
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
         "3333d45be473296acbcf3cbc5052540a32a6071c83fcce8e7b84bcd971ff6b45")

@@ -66,35 +66,26 @@ def test_every_certified_failure_rechecks(data):
 def test_certify_keeps_exit_code_contract(data):
     A = data.draw(wide_matrices())
     k = data.draw(st.integers(1, A.shape[1] - 1))
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        matrix = os.path.join(tmp, "A.csv")
-        cert = os.path.join(tmp, "cert.json")
-        with open(matrix, "w") as handle:
-            handle.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in A)
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main(["certify", "--matrix", matrix, "--k", str(k),
-                         "--emit-certificate", cert])
-        if code == 0 and "CertifiedFailure" in stdout.getvalue():
-            with open(cert) as handle:
-                assert json.load(handle)["gap"] > 0.0
-    assert code in (0, 2, 3)
+    code, _, stderr, payload, caught = run_certify(A, k)
+    if payload is not None:
+        assert payload["gap"] > 0.0
+    assert code in (0, 2, 3) and not caught
     if code != 0:
-        assert len(stderr.getvalue().splitlines()) == 1
+        assert len(stderr.splitlines()) == 1
 
 
 def run_certify(A, k):
-    """`certify` on A: exit code, stdout, the certificate JSON (None unless
-    it certified) and the warnings raised, which would otherwise print on
-    stderr."""
-    stdout = io.StringIO()
+    """`certify` on A: exit code, stdout, stderr, the certificate JSON (None
+    unless it certified) and the warnings raised, which would otherwise print
+    on stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
     payload = None
     with tempfile.TemporaryDirectory() as tmp:
         matrix = os.path.join(tmp, "A.csv")
         cert = os.path.join(tmp, "cert.json")
         with open(matrix, "w") as handle:
             handle.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in A)
-        with (redirect_stdout(stdout), redirect_stderr(io.StringIO()),
+        with (redirect_stdout(stdout), redirect_stderr(stderr),
               warnings.catch_warnings(record=True) as caught):
             warnings.simplefilter("always")
             code = main(["certify", "--matrix", matrix, "--k", str(k),
@@ -102,7 +93,7 @@ def run_certify(A, k):
         if code == 0 and "CertifiedFailure" in stdout.getvalue():
             with open(cert) as handle:
                 payload = json.load(handle)
-    return code, stdout.getvalue(), payload, caught
+    return code, stdout.getvalue(), stderr.getvalue(), payload, caught
 
 
 def verdict_line(stdout):
@@ -119,8 +110,8 @@ def test_certify_verdict_is_scale_invariant(data):
     j = data.draw(st.sampled_from([600, -600, 1000, -1000]))
     scaled = np.ldexp(A, j)
     assume(np.array_equal(np.ldexp(scaled, -j), A))  # no entry lost bits to underflow
-    code, stdout, _, _ = run_certify(A, k)
-    scaled_code, scaled_stdout, cert, caught = run_certify(scaled, k)
+    code, stdout, _, _, _ = run_certify(A, k)
+    scaled_code, scaled_stdout, _, cert, caught = run_certify(scaled, k)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert scaled_code == code
     if code == 0:

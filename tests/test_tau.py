@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 import secthresh.tau as tau
-from secthresh import (CertificateError, DomainError, DualSolve,
-                       GaussianInstance, ProblemShape,
-                       TauOutcome,
-                       Verdict, bit_flip_search, dual_distance,
-                       estimate_failure, extract_certificate,
-                       null_projector,
+from secthresh import (CertificateError, DomainError, DualSolve, GaussianInstance,
+                       ProblemShape, TauOutcome, Verdict, bit_flip_search, dual_distance,
+                       estimate_failure, extract_certificate, null_projector,
                        sample_gaussian_matrix, verify_theorem2_construction)
 
+from conftest import projector
 from oracles import oracle_box_distance, primal_tau_batch, primal_tau_reference
 
 
@@ -27,7 +25,7 @@ def _balanced_projector():
 class TestDualDistance:
     @pytest.mark.parametrize("k", [-1, 0, 12, 2.5, True])
     def test_k_outside_block_range_rejected(self, k):
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=12, m=5, k=1), 3).A)
+        P = projector(12, 5, 1, 3)
         message = "need 1 <= k < n=12" if type(k) is int else "k must be an integer"
         with pytest.raises(DomainError, match=message):
             dual_distance(P, k, np.ones(max(int(k), 0)))
@@ -49,9 +47,7 @@ class TestDualDistance:
             n = int(rng.integers(8, 26))
             m = int(rng.integers(2, n))
             k = int(rng.integers(1, min(9, m + 1)))
-            P = null_projector(
-                sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
-                                       int(rng.integers(0, 2**32))).A)
+            P = projector(n, m, k, int(rng.integers(0, 2**32)))
             b = rng.choice([-1.0, 1.0], size=k)
             solve = dual_distance(P, k, b)
             exact = oracle_box_distance(P.Dperp, k, b)
@@ -60,8 +56,7 @@ class TestDualDistance:
     def test_basis_choice_irrelevant(self):
         # Any orthonormal basis of the same null space gives the same
         # distance: rotate the rows and re-solve.
-        shape = ProblemShape(n=18, m=7, k=4)
-        P = null_projector(sample_gaussian_matrix(shape, 9).A)
+        P = projector(18, 7, 4, 9)
         rng = np.random.default_rng(1)
         rot, _ = np.linalg.qr(rng.standard_normal((11, 11)))
         P2 = dataclasses.replace(P, Dperp=rot @ P.Dperp)
@@ -72,7 +67,7 @@ class TestDualDistance:
 
     def test_solve_keeps_its_pattern(self):
         # The search flips its pattern in place; a solve keeps its own copy.
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=40, m=30, k=25), 0).A)
+        P = projector(40, 30, 25, 0)
         b = np.ones(25)
         solve = dual_distance(P, 25, b)
         b[0] = -1.0
@@ -88,7 +83,7 @@ class TestDualDistance:
                                     [0.0, math.nan, 0.0, 0.0], [0.0, 0.0, math.inf, 0.0]],
                              ids=["short", "long", "2-d", "scalar", "nan", "inf"])
     def test_bad_warm_start_rejected(self, x0):
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=6, m=2, k=2), 0).A)
+        P = projector(6, 2, 2, 0)
         with pytest.raises(DomainError, match="x0 must be a finite vector of length n - k = 4"):
             dual_distance(P, 2, np.ones(2), x0=x0)
 
@@ -105,15 +100,12 @@ class TestPrimalReference:
             n = int(rng.integers(8, 20))
             m = int(rng.integers(2, n))
             k = int(rng.integers(1, m + 1))
-            P = null_projector(
-                sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
-                                       int(rng.integers(0, 2**32))).A)
+            P = projector(n, m, k, int(rng.integers(0, 2**32)))
             cases.append((P, k, rng.choice([-1.0, 1.0], size=k)))
         assert np.all(primal_tau_batch(cases) <= 0.0)
 
     def test_size_cap(self):
-        shape = ProblemShape(n=61, m=10, k=2)
-        P = null_projector(sample_gaussian_matrix(shape, 0).A)
+        P = projector(61, 10, 2, 0)
         with pytest.raises(DomainError):
             primal_tau_reference(P, 2, [1.0, 1.0])
 
@@ -135,9 +127,7 @@ class TestCertificates:
             n = int(rng.integers(8, 22))
             m = int(rng.integers(2, max(3, n // 2)))
             k = int(rng.integers(1, m + 1))
-            P = null_projector(
-                sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
-                                       int(rng.integers(0, 2**32))).A)
+            P = projector(n, m, k, int(rng.integers(0, 2**32)))
             b = rng.choice([-1.0, 1.0], size=k)
             solve = dual_distance(P, k, b)
             if not solve.converged:
@@ -243,8 +233,7 @@ class TestBitFlipSearch:
         assert out.certificate is None
 
     def test_flip_budget(self):
-        shape = ProblemShape(n=40, m=8, k=5)
-        P = null_projector(sample_gaussian_matrix(shape, 13).A)
+        P = projector(40, 8, 5, 13)
         out = bit_flip_search(P, 5)
         assert out.flips_evaluated <= tau.MAX_PASSES * 5
 
@@ -255,8 +244,7 @@ class TestBitFlipSearch:
     def test_improves_on_start(self):
         # Whatever the verdict, the reported distance can not be worse than
         # the all-ones starting pattern.
-        shape = ProblemShape(n=30, m=18, k=9)
-        P = null_projector(sample_gaussian_matrix(shape, 4).A)
+        P = projector(30, 18, 9, 4)
         start = dual_distance(P, 9, np.ones(9)).distance
         out = bit_flip_search(P, 9)
         assert out.best_distance >= start - 1e-9
@@ -268,7 +256,7 @@ class TestTailMarginGram:
     def test_matches_minimum_norm_lstsq(self, n, m, k, seed):
         # The margin is the head energy of the row-space point D c whose tail
         # is -b, with c the minimum-norm solution of D_t c = -b.
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed).A)
+        P = projector(n, m, k, seed)
         D = P.rowspace.T
         G = tau._tail_margin_gram(P, k)
         rng = np.random.default_rng(seed)
@@ -280,7 +268,7 @@ class TestTailMarginGram:
 
     def test_rank_deficient_tail_is_zero(self):
         # More tail coordinates than measurements.
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=30, m=10, k=15), 5).A)
+        P = projector(30, 10, 15, 5)
         G = tau._tail_margin_gram(P, 15)
         assert G.shape == (15, 15) and not G.any()
         # Two equal tail columns of A.
@@ -292,11 +280,8 @@ class TestTailMarginGram:
 
 class TestEstimateFailure:
     @pytest.mark.parametrize("k", [-1, 0, 12, 2.5, True])
-    def test_k_outside_block_range_rejected_before_factoring(self, k, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the instance was factored")
-
-        monkeypatch.setattr(tau, "null_projector", unreachable)
+    def test_k_outside_block_range_rejected_before_factoring(self, k, forbid):
+        forbid(tau, "null_projector")
         inst = sample_gaussian_matrix(ProblemShape(n=12, m=5, k=1), 1)
         message = "need 1 <= k < n=12" if type(k) is int else "k must be an integer"
         with pytest.raises(DomainError, match=message):
@@ -358,7 +343,7 @@ class TestOptionsAndOutcome:
         # The settings are read at call time.  At the default cap this search
         # evaluates 9 flips, more than 2 * k.
         k = 4
-        P = null_projector(sample_gaussian_matrix(ProblemShape(n=24, m=12, k=k), 8).A)
+        P = projector(24, 12, k, 8)
         assert bit_flip_search(P, k).flips_evaluated > 2 * k
         monkeypatch.setattr(tau, "MAX_PASSES", 2)
         assert bit_flip_search(P, k).flips_evaluated <= 2 * k
