@@ -9,6 +9,7 @@ returns the value as the library computes with it or raises DomainError.
 import math
 import numbers
 import os
+import sys
 
 import numpy as np
 
@@ -70,6 +71,14 @@ def floats(x, name: str) -> np.ndarray:
         raise DomainError(f"{name} must be an array of real numbers: {exc}") from None
 
 
+def vector(x, name: str, length: int) -> np.ndarray:
+    """An array of reals of shape (length,), as a float array, x itself when it is one."""
+    x = floats(x, name)
+    if x.shape != (length,):
+        raise DomainError(f"{name} must have shape ({length},), got {x.shape}")
+    return x
+
+
 def matrix(A) -> np.ndarray:
     """A 2-D array of reals with an instance's shape, as a float array."""
     A = floats(A, "matrix")
@@ -91,11 +100,10 @@ def real(x, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
 
 
 def nonnegative(x, name: str) -> float:
-    """A finite real number >= 0, as a float."""
-    value = real(x, name)
-    if value < 0.0:
-        raise DomainError(f"{name} must be >= 0, got {x!r}")
-    return value
+    """A real number from 0 to the largest float, as a float."""
+    if not (isinstance(x, numbers.Real) and 0.0 <= x <= sys.float_info.max):
+        raise DomainError(f"{name} must be finite and >= 0, got {x!r}")
+    return float(x)
 
 
 def writable(*paths) -> None:

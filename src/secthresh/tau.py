@@ -54,7 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateError, DomainError, count, floats, matrix, nonnegative
+from .errors import CertificateError, DomainError, count, floats, matrix, nonnegative, vector
 from .instances import GaussianInstance, NullProjector, null_projector
 
 __all__ = [
@@ -131,9 +131,7 @@ class TauOutcome:
 
 def as_sign_pattern(b, k: int) -> np.ndarray:
     """Validate and canonicalize a +-1 pattern of length k, as a new array."""
-    arr = floats(b, "sign pattern").flatten()
-    if arr.shape != (k,):
-        raise DomainError(f"sign pattern must have length {k}, got shape {arr.shape}")
+    arr = vector(b, "sign pattern", k).copy()
     if not np.all(np.abs(arr) == 1.0):
         raise DomainError("sign pattern entries must be exactly +-1")
     return arr
@@ -239,10 +237,9 @@ def dual_distance(P: NullProjector, k: int, b,
     Dperp = P.Dperp
     M = Dperp[:, :n - k]
     c = Dperp[:, n - k:] @ b
-    start = np.zeros(n - k) if x0 is None else floats(x0, "x0")
-    if start.shape != (n - k,) or not np.isfinite(start).all():
-        raise DomainError(f"x0 must be a finite vector of length n - k = {n - k}, "
-                          f"got shape {start.shape}")
+    start = np.zeros(n - k) if x0 is None else vector(x0, "x0", n - k)
+    if not np.isfinite(start).all():
+        raise DomainError("x0 must have finite entries")
     start = np.clip(start, -1.0, 1.0)
     x, iterations, converged, stopped = _box_lsq(M, c, start, stop_below)
     z = np.concatenate([x, -b])
@@ -264,15 +261,14 @@ def extract_certificate(P: NullProjector, k: int, solve: DualSolve) -> Certifica
     """
     n = P.Dperp.shape[1]
     count(k, "k", 1, n - 1, "n")
-    if np.shape(solve.z_star) != (n,):
-        raise DomainError(f"z_star must have shape ({n},), got {np.shape(solve.z_star)}")
+    z_star = vector(solve.z_star, "z_star", n)
     threshold = positivity_threshold(n)
     if not solve.converged or solve.stopped_below:
         raise DomainError("certificate extraction requires a solve run to its fixed point")
     if solve.distance <= threshold:
         raise DomainError(f"distance {solve.distance:.3e} not above positivity threshold "
                           f"{threshold:.3e}")
-    w = -P.apply_q(solve.z_star)
+    w = -P.apply_q(z_star)
     head_l1 = float(np.sum(np.abs(w[:n - k])))
     tail_l1 = float(np.sum(np.abs(w[n - k:])))
     gap = tail_l1 - head_l1
@@ -307,9 +303,7 @@ def verify_theorem2_construction(A: np.ndarray, k: int, cert: Certificate) -> No
         raise DomainError(f"A must be a 2-D matrix, got shape {A.shape}")
     n = A.shape[1]
     count(k, "k", 1, n - 1, "n")
-    w = cert.w
-    if np.shape(w) != (n,):
-        raise DomainError(f"w must have shape ({n},), got {np.shape(w)}")
+    w = vector(cert.w, "w", n)
     x = np.zeros(n)
     x[n - k:] = -w[n - k:]
     l1_original = float(np.sum(np.abs(x)))

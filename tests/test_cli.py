@@ -116,9 +116,9 @@ class TestCurvesCommand:
     test_xi_sk_outside_domain = refusals({
         f"{xi}-{code}": (code, line, f"curves --grid 0.5:0.5:0.1 --xi-sk {xi} --out {{tmp}}/c.csv")
         for xi, code, line in [
-            ("nan", 2, "error: xi_sk must be a real number in (-inf, inf), got nan"),
-            ("inf", 2, "error: xi_sk must be a real number in (-inf, inf), got inf"),
-            ("-1", 2, "error: xi_sk must be >= 0, got -1.0"),
+            ("nan", 2, "error: xi_sk must be finite and >= 0, got nan"),
+            ("inf", 2, "error: xi_sk must be finite and >= 0, got inf"),
+            ("-1", 2, "error: xi_sk must be finite and >= 0, got -1.0"),
             ("1e155", 3, "numerical failure: curve solve failed at alpha=0.5: sectional "
                          "upper-bound denominator overflows at xi_sk=1e+155")]})
 
@@ -149,12 +149,6 @@ class TestCurvesCommand:
         assert len(rows) == 3
         beta = {r.split(",")[0]: float(r.split(",")[2]) for r in rows}
         assert beta["sec-lower"] < beta["sec-upper"] < beta["weak"]
-
-    def test_rerun_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli("curves", "--grid", "0.2:0.8:0.2", "--out", str(a)) == 0
-        assert run_cli("curves", "--grid", "0.2:0.8:0.2", "--out", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_default_grid_csv_pinned(self, tmp_path, capsys):
         # The fixed-seed contract's curve bytes, on the default grid.

@@ -1,16 +1,16 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
 
-from secthresh import (XI_SK_DEFAULT, CurveKind, DomainError, NumericalError,
-                       emit_curves, erfinv, sec_lower_solve,
-                       sec_upper_beta, sec_upper_residual, weak_beta, weak_residual)
+from secthresh import (XI_SK_DEFAULT, CurveKind, NumericalError, emit_curves,
+                       sec_lower_solve, sec_upper_beta, sec_upper_residual, weak_beta,
+                       weak_residual)
 import secthresh.curves as curves
 from secthresh.curves import mg_ratio_closed_form
 
 from oracles import adjusted_dims
+from test_api import add_refusal_tests
 
 # Frozen from tests/oracles.py (scipy brentq on independently transcribed
 # residuals, xtol 1e-13).
@@ -57,12 +57,6 @@ class TestWeakResidual:
         # alpha near 1: quantile term vanishes, residual stays positive.
         assert weak_residual(0.999999, 0.3) > 0.5
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            weak_residual(0.3, 0.5)  # beta >= alpha
-        with pytest.raises(DomainError):
-            weak_residual(1.0, 0.5)
-
 
 class TestWeakBeta:
     def test_reference_values(self):
@@ -93,12 +87,6 @@ class TestSecLower:
         for beta in (0.02, 0.1, 0.3):
             sol = sec_lower_solve(beta)
             assert beta < sol.alpha_bound < 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sec_lower_solve(0.0)
-        with pytest.raises(DomainError):
-            sec_lower_solve(0.6)
 
 
 class TestAdjustedDims:
@@ -186,12 +174,6 @@ class TestEmitCurves:
             bu = next(p.beta for p in curve.by_kind(CurveKind.SectionalUpper)
                       if p.alpha == a)
             assert bl < bu < bw
-
-    def test_grid_domain(self):
-        with pytest.raises(DomainError):
-            emit_curves([0.0])
-        with pytest.raises(DomainError):
-            emit_curves([0.99])
 
 
 class TestSecLowerSweepCache:
@@ -308,67 +290,4 @@ class TestBitPins:
         assert (hex_digest(alphas), hex_digest(betas)) == SWEEP_BITS
 
 
-class TestDomainChecksBeforeResiduals:
-    """Bad inputs are refused before any residual is evaluated."""
-
-    @pytest.fixture(autouse=True)
-    def no_residual_runs(self, forbid):
-        forbid(curves, "erfinv")
-
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan, math.inf])
-    def test_alpha_outside_unit_interval(self, alpha):
-        with pytest.raises(DomainError):
-            weak_beta(alpha)
-        with pytest.raises(DomainError):
-            sec_upper_beta(alpha)
-        with pytest.raises(DomainError):
-            emit_curves([alpha])
-
-    def test_alpha_too_small_for_a_bracket(self):
-        with pytest.raises(DomainError, match="leaves no beta bracket"):
-            weak_beta(1e-6)
-        with pytest.raises(DomainError, match="leaves no beta bracket"):
-            sec_upper_beta(1e-6)
-
-    @pytest.mark.parametrize("alpha", ["x", None, 10**400])
-    def test_alpha_not_a_number(self, alpha):
-        with pytest.raises(DomainError):
-            emit_curves([alpha])
-
-    @pytest.mark.parametrize("value", ["x", None, "0.5", 1j],
-                             ids=["str", "None", "numeric-str", "complex"])
-    @pytest.mark.parametrize("entry", [
-        weak_beta, sec_upper_beta, sec_lower_solve, erfinv,
-        lambda v: emit_curves([v]),
-        lambda v: weak_residual(v, 0.2), lambda v: weak_residual(0.5, v),
-        lambda v: sec_upper_residual(v, 0.2), lambda v: sec_upper_residual(0.5, v),
-    ], ids=["weak_beta", "sec_upper_beta", "sec_lower_solve", "erfinv", "emit_curves",
-            "weak_residual-alpha", "weak_residual-beta", "sec_upper_residual-alpha",
-            "sec_upper_residual-beta"])
-    def test_input_not_a_number(self, entry, value):
-        with pytest.raises(DomainError):
-            entry(value)
-
-    @pytest.mark.parametrize("xi", [math.nan, math.inf, -1.0])
-    def test_bad_xi_sk(self, xi):
-        with pytest.raises(DomainError):
-            sec_upper_beta(0.5, xi)
-        with pytest.raises(DomainError):
-            emit_curves([0.5], xi_sk=xi)
-
-    @pytest.mark.parametrize("xi", ["x", None, 10**400, 1j],
-                             ids=["str", "None", "huge-int", "complex"])
-    @pytest.mark.parametrize("entry", [lambda xi: emit_curves([0.5], xi_sk=xi),
-                                       lambda xi: sec_upper_beta(0.5, xi),
-                                       lambda xi: sec_upper_residual(0.5, 0.2, xi)],
-                             ids=["emit_curves", "sec_upper_beta", "sec_upper_residual"])
-    def test_xi_sk_not_a_number(self, entry, xi):
-        with pytest.raises(DomainError, match="xi_sk"):
-            entry(xi)
-
-    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.3), (0.3, 0.5)])
-    def test_beta_not_below_alpha(self, alpha, beta):
-        with pytest.raises(DomainError):
-            weak_residual(alpha, beta)
-        with pytest.raises(DomainError):
-            sec_upper_residual(alpha, beta, XI_SK_DEFAULT)
+add_refusal_tests(globals())  # this module's rows of the refusal table

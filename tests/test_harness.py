@@ -8,13 +8,13 @@ import pytest
 
 import secthresh.harness as harness
 import secthresh.tau as tau
-from secthresh import (CellResult, CellSpec, DomainError, NumericalError,
+from secthresh import (CellResult, CellSpec, NumericalError,
                        ProblemShape, RepRecord, Verdict, builtin_suite,
                        builtin_tables, derive_rep_seed, estimate_failure,
                        paper_rate, run_suite, sample_gaussian_matrix)
-from secthresh.harness import MAX_REPS
 
 from conftest import drop_timing, run_child
+from test_api import add_refusal_tests
 
 
 class TestBuiltinTables:
@@ -43,45 +43,15 @@ class TestBuiltinTables:
         table2 = [key for key in builtin_tables() if key[0] in (200, 300)]
         assert len(table1) == 30
         assert len(table2) == 24
-
-    def test_suite_construction(self):
         suite = builtin_suite("table1", reps=5, base_seed=3)
         assert len(suite) == 30
         assert all(spec.reps == 5 and spec.base_seed == 3 for spec in suite)
-        with pytest.raises(DomainError):
-            builtin_suite("table3")
-        with pytest.raises(DomainError, match="reps must be an integer"):
-            builtin_suite("table2", reps=1.5)
 
 
 class TestCellSpec:
-    def test_validation(self):
-        # Counts are integers, numpy's included, but not bools or floats.
-        for n, m, k, reps in [(100, 100, 5, 1), (100, 50, 50, 1), (100, 50, 5, 0),
-                              (30.0, 20, 5, 1), (30, 20.0, 5, 1), (30, 20, True, 1),
-                              (30, 20, 5.0, 1), (30, 20, 5, 1.5), (30, 20, 5, True)]:
-            with pytest.raises(DomainError):
-                CellSpec(n=n, m=m, k=k, reps=reps)
-
     def test_numpy_integers_accepted(self):
         spec = CellSpec(n=np.int64(30), m=np.int32(20), k=np.int16(5), reps=np.uint8(1))
         assert run_suite([spec])[0].per_rep[0].seed == derive_rep_seed(0, 0)
-
-    def test_dimension_cap(self):
-        # The shape rules are ProblemShape's, so the n cap holds for a cell.
-        with pytest.raises(DomainError, match="n <="):
-            CellSpec(n=2_000_000, m=2, k=1, reps=1)
-
-    @pytest.mark.parametrize("base_seed", ["x", -1, 2**64, 1.5, True])
-    def test_base_seed_outside_64_bits_rejected(self, base_seed):
-        # Checked where the cell is made, not first when its reps are seeded.
-        with pytest.raises(DomainError, match="base_seed"):
-            CellSpec(n=30, m=24, k=10, reps=1, base_seed=base_seed)
-
-    def test_reps_cap(self):
-        assert CellSpec(n=100, m=50, k=5, reps=MAX_REPS).reps == MAX_REPS
-        with pytest.raises(DomainError, match="reps"):
-            CellSpec(n=100, m=50, k=5, reps=MAX_REPS + 1)
 
 
 class TestRunCell:
@@ -390,14 +360,6 @@ def test_shared_index_hands_out_each_rep_once():
     assert rep_fields(run_suite(cells, workers=5)) == rep_fields(run_suite(cells))
 
 
-@pytest.mark.parametrize("workers", [-3, 0, harness.MAX_WORKERS + 1, 5000, 2.0, True])
-def test_worker_count_bounded(forbid, workers):
-    forbid(os, "fork")
-    forbid(harness, "_run_rep")
-    with pytest.raises(DomainError, match="workers"):
-        run_suite([CellSpec(n=30, m=24, k=12, reps=5000)], workers=workers)
-
-
 def test_worker_cap_itself_accepted(monkeypatch):
     monkeypatch.setattr(os, "fork", None)
     # One task needs no child, whatever the cap allows.
@@ -488,3 +450,6 @@ def test_reps_run_on_one_blas_thread(monkeypatch):
     if out == "no setter":
         pytest.skip("no OpenBLAS thread-count setter in this process")
     assert out == "True ['caller:1', 'child:1']"
+
+
+add_refusal_tests(globals())  # this module's rows of the refusal table

@@ -14,10 +14,9 @@ import oracles
 import secthresh.tau as tau
 from conftest import projector, run_child
 from oracles import box_lsq_reference
-from secthresh import (DomainError, ProblemShape, bit_flip_search,
-                       builtin_suite, derive_rep_seed, dual_distance,
-                       estimate_failure, extract_certificate, null_projector,
-                       sample_gaussian_matrix)
+from secthresh import (ProblemShape, bit_flip_search, builtin_suite, derive_rep_seed,
+                       dual_distance, estimate_failure, sample_gaussian_matrix)
+from test_api import add_refusal_tests
 
 
 def _search_solves(monkeypatch, P, k):
@@ -141,18 +140,6 @@ class TestEarlyStop:
             assert again.z_star.tobytes() == full.z_star.tobytes()
             assert again.iterations == full.iterations
 
-    def test_extraction_refuses_stopped_solve(self):
-        P = null_projector(np.array([[2.0, 1.0]]))
-        solve = dual_distance(P, 1, [1.0], stop_below=1.0)
-        assert solve.stopped_below and solve.distance > tau.positivity_threshold(2)
-        with pytest.raises(DomainError):
-            extract_certificate(P, 1, solve)
-
-    @pytest.mark.parametrize("bound", [-1e-6, math.nan])
-    def test_bad_bound_rejected(self, bound):
-        P = null_projector(np.array([[2.0, 1.0]]))
-        with pytest.raises(DomainError):
-            dual_distance(P, 1, [1.0], stop_below=bound)
 
 
 # Four small searches, one for each way a search ends: certified at the
@@ -250,3 +237,6 @@ def test_tau_certificate_pinned(tmp_path):
               "--seed", "1", "--emit-certificate", str(cert), blas_threads=1)
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
         "3333d45be473296acbcf3cbc5052540a32a6071c83fcce8e7b84bcd971ff6b45")
+
+
+add_refusal_tests(globals())  # this module's rows of the refusal table
