@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional
 
+from . import _blas
 from .errors import DomainError, SecthreshError, count, dimensions, seed64
-from .instances import ProblemShape, _one_blas_thread, derive_rep_seed, sample_gaussian_matrix
+from .instances import ProblemShape, derive_rep_seed, sample_gaussian_matrix
 from .tau import Verdict, estimate_failure
 
 # A suite's (cell, rep) tasks are listed before any rep runs, so the rep count
@@ -225,7 +226,8 @@ def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
     workers = count(workers, "workers", 1, MAX_WORKERS)
     tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r))
              for spec in cells for r in range(spec.reps)]
-    with _one_blas_thread():
+    _blas.box_lsq_kernel()  # built and loaded once, here, for the children too
+    with _blas.one_thread():
         token, children, sent, codes = os.pipe(), [], None, []
         os.write(token[1], bytes(8))
         try:

@@ -2,37 +2,26 @@
 
 An instance's entries are standard normals made by Box-Muller from the words
 of a Philox4x64-10 stream, computed in numpy integer arithmetic without
-numpy's ``random`` package.  A (shape, seed) pair thus gives the same bits on
-every platform and at any degree of parallelism.  The SVD of an instance gives
+numpy's ``random`` package.  A (shape, seed) pair thus gives the same bits at
+any degree of parallelism, on hosts of one CPU class.  Across classes the bits
+can move: on AVX-512 hosts numpy runs ``np.log`` in a kernel that differs from
+its AVX2 kernel by one ulp at some points.  The SVD of an instance gives
 orthonormal bases of its row space and its null space; the latter induces the
 projector Q used by the dual solver.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .errors import MAX_N, NumericalError, dimensions, matrix, seed64
 
 _TWO_NEG53 = 2.0 ** -53
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# The (get, set) thread-count functions an OpenBLAS may export: int get(), void set(int).
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-# One thread at a time pins the count; a forked child starts with the lock free.
-_blas_lock = threading.RLock()
-os.register_at_fork(after_in_child=_blas_lock._at_fork_reinit)
 
 
 @dataclass(frozen=True)
@@ -153,35 +142,6 @@ def sample_gaussian_matrix(shape: ProblemShape, seed: int) -> GaussianInstance:
     return GaussianInstance(seed=seed, A=A)
 
 
-@functools.cache
-def _blas_thread_functions() -> tuple:
-    """(get, set) of every loaded OpenBLAS, found once; forked children inherit them."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(None, 5)[5].strip() for line in maps if "openblas" in line})
-        return tuple((getattr(lib, get), getattr(lib, put))
-                     for lib in map(ctypes.CDLL, paths) for get, put in _OPENBLAS_THREADS
-                     if hasattr(lib, get) and hasattr(lib, put))
-    except OSError:  # no /proc/self/maps (not Linux), or a library that will not reopen
-        return ()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Every loaded OpenBLAS on one thread in the block and its forks, one caller at a time."""
-    pairs = _blas_thread_functions()
-    with _blas_lock:
-        # A count of 1 is left alone: in a forked child a set restarts the thread pool.
-        saved = [(put, count) for get, put in pairs if (count := get()) != 1]
-        for put, _ in saved:
-            put(1)
-        try:
-            yield
-        finally:
-            for put, count in saved:
-                put(count)
-
-
 def null_projector(A: np.ndarray) -> NullProjector:
     """Factor an m x n matrix into row-space and null-space orthonormal bases.
 
@@ -200,7 +160,7 @@ def null_projector(A: np.ndarray) -> NullProjector:
     if not np.isfinite(A).all():
         raise NumericalError("matrix has a non-finite entry")
     try:
-        with _one_blas_thread():  # the SVD's bits move with the thread count
+        with _blas.one_thread():  # the SVD's bits move with the thread count
             _, s, vh = np.linalg.svd(A, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc

@@ -54,6 +54,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _blas
 from .errors import CertificateError, DomainError, count, floats, matrix, nonnegative, vector
 from .instances import GaussianInstance, NullProjector, null_projector
 
@@ -154,50 +155,42 @@ def _box_lsq(M: np.ndarray, c: np.ndarray, x0: np.ndarray,
     the solve stops there.  Returns (x, iterations, converged, stopped); a
     stopped solve counts as converged.
 
-    The loop runs on preallocated buffers, with the same floating-point
-    operations in the same order as the allocating form (kept as
-    ``box_lsq_reference`` in the tests), so its bits match that form's.
+    The loop runs compiled (``_blas.box_lsq_kernel``), with the operations of
+    ``_box_lsq_numpy`` in the same order, so its bits equal that loop's; the
+    numpy loop runs where the compiled one cannot.
     """
+    kernel = _blas.box_lsq_kernel()
+    solved = None if kernel is None else kernel(M, c, x0, MAX_ITERATIONS, CHECK_EVERY,
+                                                FIXED_POINT_TOL, stop_below)
+    return _box_lsq_numpy(M, c, x0, stop_below) if solved is None else solved
+
+
+def _box_lsq_numpy(M: np.ndarray, c: np.ndarray, x0: np.ndarray,
+                   stop_below: Optional[float] = None) -> tuple[np.ndarray, int, bool, bool]:
+    """``_box_lsq``'s loop in numpy calls."""
     stop_sq = None if stop_below is None else stop_below * stop_below
     x = x0.copy()
     y = x.copy()
-    xn = np.empty_like(x)
-    g = np.empty_like(x)
-    d = np.empty_like(x)   # xn - x in the loop; the projected step at a test
-    r = np.empty_like(c)   # the residual M v - c
-    Mt = M.T
     t_mom = 1.0
     it = 0
     for it in range(1, MAX_ITERATIONS + 1):
-        np.matmul(M, y, out=r)
-        np.subtract(r, c, out=r)
-        np.matmul(Mt, r, out=g)
+        g = M.T @ (M @ y - c)
         # minimum(maximum(.)) gives np.clip's bits for finite input and costs
         # less than np.clip on vectors of this size.
-        np.subtract(y, g, out=xn)
-        np.maximum(xn, -1.0, out=xn)
-        np.minimum(xn, 1.0, out=xn)
-        np.subtract(xn, x, out=d)
-        if np.dot(g, d) > 0.0:
-            t_mom = 1.0
-            np.copyto(y, xn)
+        xn = np.minimum(np.maximum(y - g, -1.0), 1.0)
+        if np.dot(g, xn - x) > 0.0:
+            t_mom, y = 1.0, xn
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            np.multiply(d, (t_mom - 1.0) / t_next, out=y)
-            np.add(xn, y, out=y)
+            y = xn + ((t_mom - 1.0) / t_next) * (xn - x)
             t_mom = t_next
-        x, xn = xn, x
+        x = xn
         if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:
-            np.matmul(M, x, out=r)
-            np.subtract(r, c, out=r)
+            r = M @ x - c
             if stop_sq is not None and np.dot(r, r) <= stop_sq:
                 return x, it, True, True
-            np.matmul(Mt, r, out=g)
-            np.subtract(x, g, out=d)
-            np.maximum(d, -1.0, out=d)
-            np.minimum(d, 1.0, out=d)
-            np.subtract(d, x, out=d)
-            if max(d.max(), -d.min()) <= FIXED_POINT_TOL:
+            step = np.minimum(np.maximum(x - M.T @ r, -1.0), 1.0) - x
+            if np.max(np.abs(step), initial=0.0) <= FIXED_POINT_TOL:
                 return x, it, True, False
     return x, it, False, False
 

@@ -1,7 +1,7 @@
-"""Plumbing shared by the test modules: a fresh-interpreter runner, a seeded
-projector, the CSV filter for the one rerun-variable column, a guard that
-fails a test when a function it must not reach is called, and a call
-counter."""
+"""Plumbing shared by the test modules: a fresh-interpreter runner, the CPU
+class the bit pins were recorded on, a seeded projector, the CSV filter for
+the one rerun-variable column, a guard that fails a test when a function it
+must not reach is called, and a call counter."""
 
 import os
 import subprocess
@@ -10,19 +10,25 @@ from pathlib import Path
 
 import pytest
 
-from secthresh import ProblemShape, null_projector, sample_gaussian_matrix
+from secthresh import ProblemShape, _blas, null_projector, sample_gaussian_matrix
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 TESTS = Path(__file__).resolve().parent
 
 
-def run_child(*argv, blas_threads=None):
+def run_child(*argv, blas_threads=None, env=None):
     """stdout, stripped, of ``python *argv`` in a fresh interpreter.
 
     The child imports this checkout's package, and can import the test
     modules, as the digest pins do.  Given ``blas_threads``, BLAS runs on that
-    many threads, set before numpy loads, as the benchmark runs it.
+    many threads, set before numpy loads, as the benchmark runs it.  ``env``
+    adds variables to the child's environment.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     if blas_threads is not None:
         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[name] = str(blas_threads)
@@ -32,6 +38,29 @@ def run_child(*argv, blas_threads=None):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+# The CPU class the bit pins were recorded on.  numpy's AVX-512 log moves
+# sampled bits by an ulp, and OpenBLAS's gemv, dot and SVD kernels differ by
+# core, so on another class a bit pin can fail while verdicts hold.
+RECORDED_ON = "numpy dispatch X86_V4, OpenBLAS core SkylakeX"
+# An AVX2 host, emulated in a child: numpy's AVX-512 kernels off, OpenBLAS's
+# Haswell kernels.
+AVX2_HOST = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+             "OPENBLAS_CORETYPE": "Haswell"}
+# numpy's map of CPU features, by its names, to whether this host has them.
+CPU_FEATURES = __cpu_features__
+
+
+def cpu_class():
+    """The numpy dispatch targets and the OpenBLAS core this process runs."""
+    targets = " ".join(t for t in __cpu_dispatch__ if CPU_FEATURES.get(t)) or "baseline"
+    return f"numpy dispatch {targets}, OpenBLAS core {_blas.corename() or 'unknown'}"
+
+
+def pinned_on():
+    """The assertion message of a bit pin: where it was recorded, and this host."""
+    return f"bits pinned on {RECORDED_ON}; this host runs {cpu_class()}"
 
 
 def projector(n, m, k, seed):

@@ -6,8 +6,6 @@ curve roots, the adjusted-dimension ratios as a second route to the
 sectional upper bound's denominator, scipy.optimize.lsq_linear (BVLS active
 set) for the box least-squares inner problem, a primal subgradient descent
 for the dual distance, and exhaustive sign-pattern enumeration for verdicts.
-``box_lsq_reference`` is the exception: it is the allocating form of the
-inner solve loop, kept to pin the bits of the buffered loop in the package.
 Run as a script to print the constants that the unit tests hard-code.
 """
 
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from secthresh import DomainError
-from secthresh import tau
 from secthresh.tau import as_sign_pattern
 
 PRIMAL_ITERATIONS = 50_000
@@ -140,38 +137,6 @@ def oracle_box_distance(Dperp, k, b):
     c = Dperp[:, n - k:] @ b
     res = lsq_linear(M, c, bounds=(-1.0, 1.0), method="bvls", tol=1e-14)
     return float(np.linalg.norm(M @ res.x - c))
-
-
-def box_lsq_reference(M, c, x0):
-    """The inner solve loop as it ran before it reused buffers.
-
-    Same iteration as ``tau._box_lsq`` without ``stop_below``, allocating
-    fresh arrays each step; it reads the solver settings from ``tau`` when it
-    runs, so a monkeypatched setting applies to both.  Returns
-    (x, iterations, converged).
-    """
-    x = x0.copy()
-    y = x.copy()
-    t_mom = 1.0
-    it = 0
-    for it in range(1, tau.MAX_ITERATIONS + 1):
-        g = M.T @ (M @ y - c)
-        # minimum(maximum(.)) gives np.clip's bits for finite input and costs
-        # less than np.clip on vectors of this size.
-        xn = np.minimum(np.maximum(y - g, -1.0), 1.0)
-        if np.dot(g, xn - x) > 0.0:
-            t_mom, y = 1.0, xn
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            y = xn + ((t_mom - 1.0) / t_next) * (xn - x)
-            t_mom = t_next
-        x = xn
-        if it % tau.CHECK_EVERY == 0 or it == tau.MAX_ITERATIONS:
-            gx = M.T @ (M @ x - c)
-            step = np.minimum(np.maximum(x - gx, -1.0), 1.0) - x
-            if np.max(np.abs(step), initial=0.0) <= tau.FIXED_POINT_TOL:
-                return x, it, True
-    return x, it, False
 
 
 def primal_tau_batch(cases):

@@ -13,7 +13,7 @@ from secthresh import (CellResult, CellSpec, NumericalError,
                        builtin_tables, derive_rep_seed, estimate_failure,
                        paper_rate, run_suite, sample_gaussian_matrix)
 
-from conftest import drop_timing, run_child
+from conftest import AVX2_HOST, CPU_FEATURES, drop_timing, run_child
 from test_api import add_refusal_tests
 
 
@@ -153,15 +153,30 @@ def test_cell_counts_derived_from_reps():
         cell.per_rep = ()
 
 
+def _table2_csv_sha(tmp_path, env=None):
+    """sha256 of the table2 CSV at 2 reps and seed 0 without mean_seconds."""
+    out = tmp_path / "t2.csv"
+    run_child("-m", "secthresh.cli", "simulate", "--builtin", "table2", "--reps", "2",
+              "--seed", "0", "--workers", "2", "--out", str(out), blas_threads=1, env=env)
+    stable = "".join(line + "\n" for line in drop_timing(out.read_text()))
+    return hashlib.sha256(stable.encode()).hexdigest()
+
+
+TABLE2_CSV_SHA = "1ce0e3aa604df19b64131f85d543be358006212f8f74e8abc1fcd08a7cbce9f5"
+
+
 def test_table2_csv_pinned(tmp_path):
     # The harness half of the fixed-seed contract: the table2 CSV at 2 reps
     # and seed 0, every column but mean_seconds, byte for byte.
-    out = tmp_path / "t2.csv"
-    run_child("-m", "secthresh.cli", "simulate", "--builtin", "table2", "--reps", "2",
-              "--seed", "0", "--workers", "2", "--out", str(out), blas_threads=1)
-    stable = "".join(line + "\n" for line in drop_timing(out.read_text()))
-    assert hashlib.sha256(stable.encode()).hexdigest() == (
-        "1ce0e3aa604df19b64131f85d543be358006212f8f74e8abc1fcd08a7cbce9f5")
+    assert _table2_csv_sha(tmp_path) == TABLE2_CSV_SHA
+
+
+def test_table2_csv_pinned_on_an_avx2_host(tmp_path):
+    # The CSV holds verdicts and flip counts, not bits, and those do not move
+    # with the CPU class although the sampled bits and the BLAS kernels do.
+    if not CPU_FEATURES.get("AVX2"):
+        pytest.skip("this host cannot run AVX2 kernels")
+    assert _table2_csv_sha(tmp_path, env=AVX2_HOST) == TABLE2_CSV_SHA
 
 
 def test_run_suite_empty():
@@ -406,9 +421,9 @@ BLAS_THREADS_CODE = """
 import dataclasses, multiprocessing, os
 import secthresh.harness as harness
 from secthresh import CellSpec, run_suite
-from secthresh.instances import _blas_thread_functions
+from secthresh._blas import thread_functions
 
-getters = [get for get, _ in _blas_thread_functions()]
+getters = [get for get, _ in thread_functions()]
 if not getters:
     raise SystemExit(print("no setter"))
 threads = getters[0]

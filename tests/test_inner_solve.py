@@ -1,32 +1,39 @@
-"""The inner solve loop: bit identity with its allocating form, the early stop
-below a bound, and pins of the search: its call sequence on four small
-instances, its outcomes per rep on table1 and table2, and the certificate the
-`tau` command writes for one cell."""
+"""The inner solve loop: bit identity of the compiled loop with the numpy
+loop, on two OpenBLAS cores, and the compiled loop taken wherever a compiler
+is; the early stop below a bound; and pins of the search: its call sequence
+on four small instances, on either loop, its outcomes per rep on table1 and
+table2, and the certificate the `tau` command writes for one cell, on either
+loop."""
 
 import hashlib
 import math
+import os
+import re
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 import types
 
 import numpy as np
 import pytest
 
-import oracles
 import secthresh.tau as tau
-from conftest import projector, run_child
-from oracles import box_lsq_reference
-from secthresh import (ProblemShape, bit_flip_search, builtin_suite, derive_rep_seed,
+from conftest import CPU_FEATURES, TESTS, pinned_on, projector, run_child
+from secthresh import (ProblemShape, _blas, bit_flip_search, builtin_suite, derive_rep_seed,
                        dual_distance, estimate_failure, sample_gaussian_matrix)
 from test_api import add_refusal_tests
 
 
 def _search_solves(monkeypatch, P, k):
-    """The (M, c, x0) of every inner solve one search runs, in order."""
+    """The (M, c, x0, stop_below) of every inner solve one search runs, in order."""
     calls = []
     original = tau._box_lsq
 
-    def recording(M, c, x0, *args):
-        calls.append((M, c, x0.copy()))
-        return original(M, c, x0, *args)
+    def recording(M, c, x0, stop_below=None):
+        calls.append((M, c, x0.copy(), stop_below))
+        return original(M, c, x0, stop_below)
 
     monkeypatch.setattr(tau, "_box_lsq", recording)
     bit_flip_search(P, k)
@@ -34,12 +41,15 @@ def _search_solves(monkeypatch, P, k):
     return calls
 
 
-def _assert_same_bits(M, c, x0):
-    x_ref, it_ref, conv_ref = box_lsq_reference(M, c, x0)
-    x, it, conv, stopped = tau._box_lsq(M, c, x0)
+def _assert_same_bits(M, c, x0, stop_below=None):
+    """The compiled loop's solve equals the numpy loop's, bit for bit."""
+    if _blas.box_lsq_kernel() is None:
+        pytest.skip("no compiled loop on this host")
+    x_ref, *flags = tau._box_lsq_numpy(M, c, x0, stop_below)
+    x, *got = tau._box_lsq(M, c, x0, stop_below)
     assert x.tobytes() == x_ref.tobytes()
-    assert (it, conv, stopped) == (it_ref, conv_ref, False)
-    return it_ref, conv_ref
+    assert got == flags
+    return flags
 
 
 class TestLoopBitIdentity:
@@ -50,8 +60,17 @@ class TestLoopBitIdentity:
         calls = _search_solves(monkeypatch, projector(n, m, k, seed), k)
         assert len(calls) >= 25
         # The first solve is cold; the rest start warm from an incumbent head.
-        for M, c, x0 in calls[:25]:
+        for M, c, x0, _ in calls[:25]:
             _assert_same_bits(M, c, x0)
+
+    @pytest.mark.parametrize("n, m, k, seed, stopped, bounded", [(200, 180, 66, 0, 229, 230),
+                                                                  (400, 120, 21, 2, 34, 34)])
+    def test_stop_below_solves(self, monkeypatch, n, m, k, seed, stopped, bounded):
+        # Every solve the search bounds; at (200,180,66) one of them runs to
+        # its fixed point all the same.
+        calls = _search_solves(monkeypatch, projector(n, m, k, seed), k)
+        solves = [_assert_same_bits(*call) for call in calls if call[3] is not None]
+        assert (sum(flags[2] for flags in solves), len(solves)) == (stopped, bounded)
 
     def test_restart_heavy_cases(self, monkeypatch):
         # The loop takes sqrt only on a momentum step, so the iterations that
@@ -63,7 +82,7 @@ class TestLoopBitIdentity:
             momentum_steps += 1
             return math.sqrt(v)
 
-        monkeypatch.setattr(oracles, "math", types.SimpleNamespace(sqrt=counting_sqrt))
+        monkeypatch.setattr(tau, "math", types.SimpleNamespace(sqrt=counting_sqrt))
         iterations = 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -78,9 +97,68 @@ class TestLoopBitIdentity:
     @pytest.mark.parametrize("cap", [30, 25])
     def test_iteration_cap(self, monkeypatch, cap):
         P = projector(400, 120, 21, 0)
-        M, c, x0 = _search_solves(monkeypatch, P, 21)[0]
+        M, c, x0, _ = _search_solves(monkeypatch, P, 21)[0]
         monkeypatch.setattr(tau, "MAX_ITERATIONS", cap)
-        assert _assert_same_bits(M, c, x0) == (cap, False)
+        assert _assert_same_bits(M, c, x0) == [cap, False, False]
+
+
+# OpenBLAS cores, each with a CPU feature (numpy's name) it needs.
+CORES = {"SkylakeX": "AVX512_SKX", "Haswell": "AVX2"}
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_loop_bits_on_openblas_core(core):
+    # gemv and dot run another kernel on each core, and the compiled loop
+    # must call them as numpy does on every one.
+    if _blas.box_lsq_kernel() is None:
+        pytest.skip("no compiled loop on this host")
+    if not CPU_FEATURES.get(CORES[core]):
+        pytest.skip(f"this host cannot run OpenBLAS's {core} kernels")
+    env = {"OPENBLAS_CORETYPE": core}
+    assert run_child("-c", "import numpy, secthresh._blas as b; print(b.corename())",
+                     env=env) == core
+    out = run_child("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                    f"{TESTS / 'test_inner_solve.py'}::TestLoopBitIdentity", env=env)
+    assert re.search(r"\b8 passed\b", out) and "skipped" not in out, out
+
+
+def _compiler():
+    """The compiler Python was built with, if it is on PATH."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    return cc and shutil.which(cc[0])
+
+
+def test_compiled_loop_is_taken_where_a_compiler_is(forbid):
+    if not _compiler():
+        pytest.skip("no C compiler on PATH")
+    assert _blas.box_lsq_kernel() is not None
+    forbid(tau, "_box_lsq_numpy")
+    assert bit_flip_search(projector(200, 180, 66, 0), 66).flips_evaluated > 0
+
+
+def test_import_finds_builds_and_loads_nothing():
+    # The benchmark times the import; the first solve, or run_suite before it
+    # forks, resolves the compiled loop.
+    code = ("import secthresh, secthresh._blas as b; "
+            "print(b._openblas.cache_info().currsize, b.box_lsq_kernel.cache_info().currsize)")
+    assert run_child("-c", code) == "0 0"
+
+
+def test_two_processes_build_into_an_empty_cache(tmp_path):
+    # Started together, the two build at once.  Each builds under a name of
+    # its own and moves the library into place, so both load a whole library
+    # and one file is left.
+    if not _compiler():
+        pytest.skip("no C compiler on PATH")
+    code = "import secthresh._blas as b; print(b.box_lsq_kernel() is not None)"
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(TESTS.parent / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    children = [subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                                 stdout=subprocess.PIPE) for _ in range(2)]
+    assert [child.communicate(timeout=300)[0] for child in children] == ["True\n"] * 2
+    [library] = (tmp_path / "secthresh").iterdir()
+    assert re.fullmatch(r"_box_lsq-[0-9a-f]{8}\.so", library.name)
 
 
 def _stopped_solves(monkeypatch, P, k):
@@ -149,7 +227,7 @@ SEARCH_ENDINGS = ((24, 12, 4, 4, None), (30, 20, 8, 2, None),
                   (16, 10, 4, 3, None), (16, 10, 4, 3, 1))
 
 
-def test_search_call_sequence_pinned(monkeypatch):
+def _assert_search_call_sequence(monkeypatch):
     # The benchmark counts the search's solves and certificate calls and
     # rebuilds its accepted flips from their patterns, so each call keeps its
     # order, pattern, warm start and bound.
@@ -177,7 +255,18 @@ def test_search_call_sequence_pinned(monkeypatch):
     assert endings == [("CertifiedFailure", 0), ("CertifiedFailure", 13),
                        ("NotCertified", 10), ("NotCertified", 4)]
     assert h.hexdigest() == (
-        "44e46f62f3acbfbef0e605f475de55d9a51394a5e0d41a8dc3b142e50c24e6e4")
+        "44e46f62f3acbfbef0e605f475de55d9a51394a5e0d41a8dc3b142e50c24e6e4"), pinned_on()
+
+
+def test_search_call_sequence_pinned(monkeypatch):
+    _assert_search_call_sequence(monkeypatch)
+
+
+def test_search_call_sequence_pinned_on_the_numpy_loop(monkeypatch, count_calls):
+    monkeypatch.setattr(_blas, "box_lsq_kernel", lambda: None)
+    calls = count_calls(tau, "_box_lsq_numpy")
+    _assert_search_call_sequence(monkeypatch)
+    assert calls["_box_lsq_numpy"] > 0
 
 
 def table1_outcome_digest():
@@ -208,11 +297,11 @@ def table2_outcome_digest():
 
 
 def test_table2_search_outcomes_pinned():
-    # Recorded before the early stop and the buffered loop: neither may move
+    # Recorded before the early stop and the compiled loop: neither may move
     # a verdict, a flip count, a best distance or pattern, or a certificate.
     code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
     assert run_child("-c", code, blas_threads=1) == (
-        "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40")
+        "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40"), pinned_on()
 
 
 def test_table2_search_outcomes_independent_of_blas_threads():
@@ -220,23 +309,37 @@ def test_table2_search_outcomes_independent_of_blas_threads():
     # in every process, so two threads give the pinned outcomes too.
     code = "import test_inner_solve as t; print(t.table2_outcome_digest())"
     assert run_child("-c", code, blas_threads=2) == (
-        "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40")
+        "2cf93d43ead636f17d431a161bf8994d2474976564a444974a7227d5cd711c40"), pinned_on()
 
 
 def test_table1_search_outcomes_pinned():
     # The table1 half of the fixed-seed contract: verdicts, flips and patterns.
     code = "import test_inner_solve as t; print(t.table1_outcome_digest())"
     assert run_child("-c", code, blas_threads=1) == (
-        "deac25f9e6d4b01060f796d83c9465752baec8a99ebb0aa8f326474ce79e31ac")
+        "deac25f9e6d4b01060f796d83c9465752baec8a99ebb0aa8f326474ce79e31ac"), pinned_on()
+
+
+def _tau_certificate_sha(tmp_path, *entry):
+    """sha256 of the certificate JSON that `tau` writes for the contract cell."""
+    cert = tmp_path / "cert.json"
+    run_child(*entry, "tau", "--n", "200", "--m", "180", "--k", "74", "--seed", "1",
+              "--emit-certificate", str(cert), blas_threads=1)
+    return hashlib.sha256(cert.read_bytes()).hexdigest()
+
+
+TAU_CERTIFICATE_SHA = "3333d45be473296acbcf3cbc5052540a32a6071c83fcce8e7b84bcd971ff6b45"
 
 
 def test_tau_certificate_pinned(tmp_path):
     # The certificate JSON of the `tau` contract cell, byte for byte.
-    cert = tmp_path / "cert.json"
-    run_child("-m", "secthresh.cli", "tau", "--n", "200", "--m", "180", "--k", "74",
-              "--seed", "1", "--emit-certificate", str(cert), blas_threads=1)
-    assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
-        "3333d45be473296acbcf3cbc5052540a32a6071c83fcce8e7b84bcd971ff6b45")
+    assert _tau_certificate_sha(tmp_path, "-m", "secthresh.cli") == TAU_CERTIFICATE_SHA, (
+        pinned_on())
+
+
+def test_tau_certificate_pinned_on_the_numpy_loop(tmp_path):
+    entry = ("import sys, secthresh._blas as b; b.box_lsq_kernel = lambda: None; "
+             "from secthresh.cli import main; sys.exit(main(sys.argv[1:]))")
+    assert _tau_certificate_sha(tmp_path, "-c", entry) == TAU_CERTIFICATE_SHA, pinned_on()
 
 
 add_refusal_tests(globals())  # this module's rows of the refusal table

@@ -8,8 +8,9 @@ import pytest
 
 from secthresh import (NumericalError, ProblemShape,
                        derive_rep_seed, null_projector, sample_gaussian_matrix)
-from secthresh.instances import (_PHILOX_CHUNK, _blas_thread_functions, _one_blas_thread,
-                                 _philox_raw)
+from secthresh._blas import one_thread, thread_functions
+from secthresh.instances import _PHILOX_CHUNK, _philox_raw
+from conftest import pinned_on
 from test_api import add_refusal_tests
 
 
@@ -43,7 +44,7 @@ class TestSampleGaussianMatrix:
         # Box-Muller arithmetic, even one that is equal in distribution,
         # breaks them.
         A = sample_gaussian_matrix(ProblemShape(n=300, m=180, k=0), seed).A
-        assert hashlib.sha256(A.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(A.tobytes()).hexdigest() == digest, pinned_on()
 
     @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1)])
     def test_numpy_integer_seed(self, seed):
@@ -145,21 +146,21 @@ def test_blas_pin_takes_turns_across_threads():
     # The thread count is the process's: a second thread that pinned it while
     # the first held it would save 1 and restore 1 for good.  It waits instead,
     # and both leave the count as they found it.
-    counts = [get() for get, _ in _blas_thread_functions()]
+    counts = [get() for get, _ in thread_functions()]
     order = []
 
     def second():
-        with _one_blas_thread():
+        with one_thread():
             order.append("second")
 
-    with _one_blas_thread():
+    with one_thread():
         thread = threading.Thread(target=second)
         thread.start()
         thread.join(timeout=0.5)
         order.append("first")
     thread.join(timeout=60)
     assert order == ["first", "second"]
-    assert [get() for get, _ in _blas_thread_functions()] == counts
+    assert [get() for get, _ in thread_functions()] == counts
 
 
 def test_pin_starts_no_thread_pool_in_a_forked_child():
@@ -167,7 +168,7 @@ def test_pin_starts_no_thread_pool_in_a_forked_child():
     # 1.  OpenBLAS restarts its thread pool in a forked child at the first set
     # of the count, and the idle pool threads spin on the cores the reps use.
     A = sample_gaussian_matrix(ProblemShape(n=30, m=12, k=0), 1).A
-    with _one_blas_thread():
+    with one_thread():
         pid = os.fork()
         if pid == 0:
             null_projector(A)
