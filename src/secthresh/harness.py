@@ -8,9 +8,15 @@ one shared index, a counter handed along a pipe, so none sits idle at a cell
 boundary; a child pickles its records into its own pipe.  Per-rep seeds are
 pre-derived from the cell's base seed, so results do not depend on the
 scheduling or on the worker count.  No process loads numpy's ``random``
-package: ``instances`` computes the Philox stream itself.  Each rep is timed
-here, once, around ``estimate_failure``: the factorization, the search and the
-certificate checks, not the sampling.
+package: ``instances`` computes the Philox stream itself.
+
+Rep j of every cell with one (n, m, base seed) draws the same instance, so
+the task list holds those reps side by side: groups in the order their
+(n, m, base seed) first appears, then rep, then cell.  Each process keeps the
+last instance it factored, one at a time, and runs every k of the group
+that it takes on it, so it samples and factors an instance once rather than
+once a k.  Each rep is timed here, once: its search and certificate checks,
+plus the factorization in the rep that made it, never the sampling.
 
 The reference counts from the original simulation study are embedded for
 side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
@@ -24,13 +30,12 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Optional
 
 from . import _blas
 from .errors import DomainError, SecthreshError, count, dimensions, seed64
-from .instances import ProblemShape, derive_rep_seed, sample_gaussian_matrix
-from .tau import Verdict, estimate_failure
+from .instances import ProblemShape, derive_rep_seed, null_projector, sample_gaussian_matrix
+from .tau import Verdict, _search_checked
 
 # A suite's (cell, rep) tasks are listed before any rep runs, so the rep count
 # is capped to keep that list small.
@@ -59,7 +64,10 @@ class CellSpec:
 @dataclass(frozen=True)
 class RepRecord:
     """One rep's outcome.  ``error`` is empty unless the rep raised a library
-    error; then it reads "Type: message" and the verdict is NotCertified."""
+    error; then it reads "Type: message" and the verdict is NotCertified.
+    ``seconds`` is the rep's search and certificate checks, plus the
+    factorization only if this rep made it (the reps of an instance share
+    one), and is 0 for a rep with an ``error``."""
 
     seed: int
     verdict: Verdict
@@ -166,12 +174,24 @@ def builtin_suite(name: str, reps: int = 25, base_seed: int = 0) -> list[CellSpe
     return cells
 
 
+# This process's last factored instance, ((n, m, seed), its NullProjector),
+# or None.  run_suite empties it when it starts and when it ends.
+_cached = None
+
+
 def _run_rep(args: tuple[int, int, int, int]) -> RepRecord:
+    global _cached
     n, m, k, seed = args
-    instance = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed)
+    key = (n, m, seed)
+    if _cached is not None and _cached[0] != key:
+        _cached = None  # dropped first, so a process holds one instance at a time
+    if _cached is None:
+        A = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed).A
     started = time.perf_counter()
     try:
-        outcome = estimate_failure(instance, k)
+        if _cached is None:
+            _cached = key, null_projector(A)
+        outcome = _search_checked(_cached[1], k)
     except SecthreshError as exc:
         return RepRecord(seed=seed, verdict=Verdict.NotCertified, flips=0, seconds=0.0,
                          error=f"{type(exc).__name__}: {exc}")
@@ -217,16 +237,26 @@ def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
     """Run cells, any iterable of CellSpec, in order, every rep of the suite
     on ``workers`` processes: this one and ``workers - 1`` forked children,
     which take reps from one shared index; the results do not depend on the
-    worker count.  A rep's library error is kept in its ``error``.  Any other
+    worker count.  Reps that draw one instance run side by side, and a process
+    factors it once for all of those it takes (see the module docstring).
+    A rep's library error is kept in its ``error``.  Any other
     exception in a child is raised here with its type, a child that dies
     without a result raises ChildProcessError, and no child outlives the call.
     ``workers`` lies in 1..MAX_WORKERS; no more processes run than reps, each
     on one BLAS thread."""
+    global _cached
     cells = list(cells)
     workers = count(workers, "workers", 1, MAX_WORKERS)
-    tasks = [(spec.n, spec.m, spec.k, derive_rep_seed(spec.base_seed, r))
-             for spec in cells for r in range(spec.reps)]
+    groups: dict[tuple[int, int, int], int] = {}
+    for spec in cells:
+        groups.setdefault((spec.n, spec.m, spec.base_seed), len(groups))
+    # (group, rep, cell) of each task, in the order the tasks run.
+    slots = sorted((groups[spec.n, spec.m, spec.base_seed], r, c)
+                   for c, spec in enumerate(cells) for r in range(spec.reps))
+    tasks = [(cells[c].n, cells[c].m, cells[c].k, derive_rep_seed(cells[c].base_seed, r))
+             for _, r, c in slots]
     _blas.box_lsq_kernel()  # built and loaded once, here, for the children too
+    _cached = None
     with _blas.one_thread():
         token, children, sent, codes = os.pipe(), [], None, []
         os.write(token[1], bytes(8))
@@ -236,6 +266,7 @@ def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
             done = _drain(tasks, token)
             sent = [pipe.read() for _, pipe in children]
         finally:
+            _cached = None
             for pid, pipe in children:
                 pipe.close()
                 if sent is None:  # the children may still be at work
@@ -249,6 +280,8 @@ def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
         if isinstance(result, BaseException):
             raise result
         done += result
-    # Sorted by task index, each cell's reps are the next spec.reps.
-    ordered = (record for _, record in sorted(done))
-    return [CellResult(spec, tuple(islice(ordered, spec.reps))) for spec in cells]
+    per_cell = [[None] * spec.reps for spec in cells]
+    for i, record in done:
+        _, r, c = slots[i]
+        per_cell[c][r] = record
+    return [CellResult(spec, tuple(reps)) for spec, reps in zip(cells, per_cell)]

@@ -414,8 +414,14 @@ def estimate_failure(instance: GaussianInstance, k: int) -> TauOutcome:
     """
     A = matrix(instance.A)
     count(k, "k", 1, A.shape[1] - 1, "n")
-    P = null_projector(A)
+    return _search_checked(null_projector(A), k)
+
+
+def _search_checked(P: NullProjector, k: int) -> TauOutcome:
+    """``bit_flip_search`` on a factored instance, then the construction check
+    of its certificate, if it found one, against the instance's A (``P.A``).
+    Raises CertificateError when that check fails."""
     outcome = bit_flip_search(P, k)
     if outcome.certificate is not None:
-        verify_theorem2_construction(A, k, outcome.certificate)
+        verify_theorem2_construction(P.A, k, outcome.certificate)
     return outcome

@@ -80,10 +80,10 @@ class TestRunCell:
         assert all(r.verdict is Verdict.CertifiedFailure for r in res.per_rep)
 
     def test_errored_reps_counted(self, monkeypatch):
-        def broken(instance, k):
+        def broken(P, k):
             raise NumericalError("forced")
 
-        monkeypatch.setattr(harness, "estimate_failure", broken)
+        monkeypatch.setattr(harness, "_search_checked", broken)
         res = run_suite([CellSpec(n=30, m=24, k=10, reps=3)])[0]
         assert res.errors == 3
         assert res.failures == 0
@@ -95,16 +95,16 @@ class TestRunCell:
     def test_means_skip_errored_reps(self, monkeypatch):
         spec = CellSpec(n=30, m=24, k=12, reps=2)
         clean = run_suite([spec])[0].per_rep[1]
-        original = harness.estimate_failure
+        original = harness._search_checked
         calls = []
 
-        def first_rep_breaks(instance, k):
-            calls.append(instance.seed)
+        def first_rep_breaks(P, k):
+            calls.append(P)
             if len(calls) == 1:
                 raise NumericalError("forced")
-            return original(instance, k)
+            return original(P, k)
 
-        monkeypatch.setattr(harness, "estimate_failure", first_rep_breaks)
+        monkeypatch.setattr(harness, "_search_checked", first_rep_breaks)
         res = run_suite([spec])[0]
         assert res.errors == 1 and res.per_rep[0].error
         assert res.per_rep[1].flips == clean.flips > 0
@@ -114,7 +114,7 @@ class TestRunCell:
         assert res.rate == res.failures / 2
 
     def test_wall_clock_recorded(self):
-        # A rep that did not error is timed around estimate_failure.
+        # A rep that did not error is timed around its factorization and search.
         [rec] = run_suite([CellSpec(n=30, m=20, k=8, reps=1, base_seed=2)])[0].per_rep
         assert not rec.error and rec.seconds > 0.0
 
@@ -366,6 +366,75 @@ def test_every_child_forked_and_reaped_through_os(monkeypatch, forks, reaps):
             run_suite(MIXED_SUITE, workers=3)
         assert len(forks) == 2 and sorted(reaps) == sorted(forks)
         assert_no_child_left()
+
+
+# Rep j of the second, fourth and last cell draws one instance: the fourth
+# is not next to the second, and the last repeats the second.  The first,
+# of one rep, has the same base seed, so its rep seed is theirs for rep 0,
+# but another (n, m); the third has their (n, m) and another base seed.
+SHARED_SUITE = [CellSpec(n=24, m=18, k=8, reps=1, base_seed=4),
+                CellSpec(n=30, m=20, k=7, reps=3, base_seed=4),
+                CellSpec(n=30, m=20, k=8, reps=3, base_seed=7),
+                CellSpec(n=30, m=20, k=5, reps=2, base_seed=4),
+                CellSpec(n=30, m=20, k=7, reps=3, base_seed=4)]
+
+
+def test_reps_sharing_an_instance_keep_their_results(count_calls):
+    want = []
+    for spec in SHARED_SUITE:
+        seeds = [derive_rep_seed(spec.base_seed, r) for r in range(spec.reps)]
+        outcomes = [estimate_failure(sample_gaussian_matrix(
+            ProblemShape(n=spec.n, m=spec.m, k=spec.k), seed), spec.k) for seed in seeds]
+        want.append([(seed, out.verdict, out.flips_evaluated, out.unconverged_solves)
+                     for seed, out in zip(seeds, outcomes)])
+    assert {v for cell in want for _, v, _, _ in cell} == set(Verdict)
+    calls = count_calls(harness, "null_projector")
+    for workers in (1, 2, 3):
+        results = run_suite(SHARED_SUITE, workers)
+        assert [res.spec for res in results] == SHARED_SUITE
+        assert [[(r.seed, r.verdict, r.flips, r.unconverged_solves) for r in res.per_rep]
+                for res in results] == want
+        if workers == 1:
+            # One factorization for each distinct (n, m, seed): 1 + 3 + 3.
+            assert calls["null_projector"] == 7
+
+
+def test_factorization_error_reaches_every_rep_sharing_it(monkeypatch):
+    bad_seed = derive_rep_seed(4, 0)
+    bad = sample_gaussian_matrix(ProblemShape(n=30, m=20, k=1), bad_seed).A
+    factor = harness.null_projector
+
+    def failing(A):
+        if A.shape == bad.shape and np.array_equal(A, bad):
+            raise NumericalError("forced")
+        return factor(A)
+
+    clean = run_suite(SHARED_SUITE)
+    monkeypatch.setattr(harness, "null_projector", failing)
+    for workers in (1, 2):
+        results = run_suite(SHARED_SUITE, workers)
+        hit = 0
+        for res, ok in zip(results, clean):
+            for r, r_ok in zip(res.per_rep, ok.per_rep):
+                if (res.spec.n, r.seed) == (30, bad_seed):
+                    hit += 1
+                    assert (r.error, r.verdict, r.flips, r.seconds) == (
+                        "NumericalError: forced", Verdict.NotCertified, 0, 0.0)
+                else:
+                    assert not r.error
+                    assert (r.seed, r.verdict, r.flips) == (r_ok.seed, r_ok.verdict, r_ok.flips)
+        assert hit == 3  # rep 0 of the second, fourth and last cell
+
+
+def test_no_instance_cached_after_a_suite(monkeypatch):
+    # The cache holds at most one instance a process, and only while
+    # run_suite runs, whether it returns or raises.
+    run_suite(SHARED_SUITE[:2])
+    assert harness._cached is None
+    monkeypatch.setattr(harness, "_search_checked", lambda P, k: _raise(KeyError("search")))
+    with pytest.raises(KeyError, match="search"):
+        run_suite(SHARED_SUITE[:2])
+    assert harness._cached is None
 
 
 def test_shared_index_hands_out_each_rep_once():
