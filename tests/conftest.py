@@ -1,13 +1,17 @@
 """Plumbing shared by the test modules: a fresh-interpreter runner, the CPU
 class the bit pins were recorded on, a seeded projector, the CSV filter for
 the one rerun-variable column, a guard that fails a test when a function it
-must not reach is called, and a call counter."""
+must not reach is called, and a call recorder, the one way a test watches
+the library's calls."""
 
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from secthresh import ProblemShape, _blas, null_projector, sample_gaussian_matrix
@@ -85,16 +89,42 @@ def forbid(monkeypatch):
     return forbid_
 
 
+class CallRecord:
+    """The calls ``count_calls`` saw, in call order, in ``log``: each a
+    namespace of the wrapped ``name``, the ``args`` by parameter name
+    (defaults filled in, each writable array copied at call time) and the
+    ``result``, None until the call returns.  ``record[name]`` counts one
+    name's calls."""
+
+    def __init__(self, names):
+        self.names, self.log = names, []
+
+    def __getitem__(self, name):
+        return sum(call.name == name for call in self.log)
+
+    def __repr__(self):
+        return repr({name: self[name] for name in self.names})
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
-    """``count_calls(module, *names)``: a dict, name to calls made so far."""
+    """``count_calls(module, *names)``: a ``CallRecord`` of every call of
+    ``module.name`` from then on, for each name."""
     def count_calls_(module, *names):
-        calls = dict.fromkeys(names, 0)
+        record = CallRecord(names)
         for name in names:
-            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def recorded(*args, _name=name, _original=getattr(module, name), **kwargs):
+                bound = inspect.signature(_original).bind(*args, **kwargs)
+                bound.apply_defaults()
+                # The search flips its pattern in place after the call.
+                call = SimpleNamespace(name=_name, result=None, args={
+                    key: value.copy() if isinstance(value, np.ndarray)
+                    and value.flags.writeable else value
+                    for key, value in bound.arguments.items()})
+                record.log.append(call)
+                call.result = _original(*args, **kwargs)
+                return call.result
 
-            monkeypatch.setattr(module, name, counted)
-        return calls
+            monkeypatch.setattr(module, name, recorded)
+        return record
     return count_calls_

@@ -23,6 +23,7 @@ from secthresh.cli import main as cli_main
 from secthresh.curves import mg_ratio_closed_form
 from secthresh.tau import positivity_threshold
 
+from conftest import projector
 from oracles import adjusted_dims, oracle_enumerate, primal_tau_batch
 
 ALPHA_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -89,9 +90,7 @@ def test_04_primal_dual_coherence():
         n = int(rng.integers(6, 41))
         m = int(rng.integers(2, n))
         k = int(rng.integers(1, m))
-        inst = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
-                                      int(rng.integers(0, 2**32)))
-        P = null_projector(inst.A)
+        P = projector(n, m, k, int(rng.integers(0, 2**32)))
         b = rng.choice([-1.0, 1.0], size=k)
         duals.append(dual_distance(P, k, b).distance)
         cases.append((P, k, b))
@@ -118,9 +117,7 @@ def test_05_exhaustive_oracle_agreement():
         n = int(rng.integers(12, 32))
         m = int(rng.integers(max(3, n // 4), n))
         k = int(rng.integers(1, min(11, m)))
-        inst = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k),
-                                      int(rng.integers(0, 2**32)))
-        P = null_projector(inst.A)
+        P = projector(n, m, k, int(rng.integers(0, 2**32)))
         threshold = positivity_threshold(n)
         searched = bit_flip_search(P, k).verdict is Verdict.CertifiedFailure
         enumerated = oracle_enumerate(P.Dperp, k)[0] > threshold
@@ -137,9 +134,17 @@ def test_05_exhaustive_oracle_agreement():
 
 
 def _table_spots(checks):
-    """The checked cells at reps=25, base seed 0, as one suite on two workers."""
+    """Run the checked cells at reps=25, base seed 0, as one suite on two
+    workers, assert each cell's bound on its rate, and list the rates."""
     cells = [CellSpec(n=n, m=m, k=k, reps=25, base_seed=0) for (n, m, k), _, _ in checks]
-    return run_suite(cells, workers=2)
+    spots = []
+    for ((n, m, k), op, bound), res in zip(checks, run_suite(cells, workers=2)):
+        if op == "ge":
+            assert res.rate >= bound, f"({n},{m},{k}) rate {res.rate} < {bound}"
+        else:
+            assert res.rate <= bound, f"({n},{m},{k}) rate {res.rate} > {bound}"
+        spots.append(f"({n},{m},{k})={res.rate:.2f}")
+    return ", ".join(spots)
 
 
 def test_06_low_alpha_table_spots(transition_column):
@@ -147,19 +152,12 @@ def test_06_low_alpha_table_spots(transition_column):
     rates, column_elapsed = transition_column
     checks = [((800, 80, 14), "ge", 0.80), ((800, 80, 8), "le", 0.20),
               ((400, 200, 50), "ge", 0.80), ((400, 200, 40), "le", 0.25)]
-    observed = {}
-    for ((n, m, k), op, bound), res in zip(checks, _table_spots(checks)):
-        observed[(n, m, k)] = res.rate
-        if op == "ge":
-            assert res.rate >= bound, f"({n},{m},{k}) rate {res.rate} < {bound}"
-        else:
-            assert res.rate <= bound, f"({n},{m},{k}) rate {res.rate} > {bound}"
+    spots = _table_spots(checks)
     # The shared column supplies the two (400, 80) spots.
     assert rates[15] / 25 >= 0.80
     assert rates[10] / 25 <= 0.20
     elapsed = time.monotonic() - t0 + column_elapsed
     assert elapsed < 1800.0
-    spots = ", ".join(f"({n},{m},{k})={r:.2f}" for (n, m, k), r in observed.items())
     _verdict_line(6, "low-alpha reproduction",
                   f"(400,80,15)={rates[15]/25:.2f}, (400,80,10)={rates[10]/25:.2f}, "
                   f"{spots}, {elapsed:.0f}s")
@@ -169,16 +167,9 @@ def test_07_high_alpha_table_spots():
     t0 = time.monotonic()
     checks = [((300, 180, 51), "ge", 0.85), ((300, 180, 40), "le", 0.25),
               ((200, 180, 74), "ge", 0.80), ((200, 180, 61), "le", 0.25)]
-    observed = {}
-    for ((n, m, k), op, bound), res in zip(checks, _table_spots(checks)):
-        observed[(n, m, k)] = res.rate
-        if op == "ge":
-            assert res.rate >= bound, f"({n},{m},{k}) rate {res.rate} < {bound}"
-        else:
-            assert res.rate <= bound, f"({n},{m},{k}) rate {res.rate} > {bound}"
+    spots = _table_spots(checks)
     elapsed = time.monotonic() - t0
     assert elapsed < 900.0
-    spots = ", ".join(f"({n},{m},{k})={r:.2f}" for (n, m, k), r in observed.items())
     _verdict_line(7, "high-alpha reproduction", f"{spots}, {elapsed:.0f}s")
 
 
@@ -215,9 +206,8 @@ def test_08_monotone_transition_brackets_theory(transition_column):
 
 class TestCriterion9StructuralInvariants:
     def test_projector_invariants(self):
-        inst = sample_gaussian_matrix(ProblemShape(n=50, m=20, k=5), 314159)
-        P = null_projector(inst.A)
-        assert np.max(np.abs(P.Dperp @ inst.A.T)) <= 1e-10 * np.linalg.norm(inst.A)
+        P = projector(50, 20, 5, 314159)
+        assert np.max(np.abs(P.Dperp @ P.A.T)) <= 1e-10 * np.linalg.norm(P.A)
         assert np.max(np.abs(P.Dperp @ P.Dperp.T - np.eye(30))) <= 1e-10
         Q = P.Dperp.T @ P.Dperp
         assert np.max(np.abs(Q @ Q - Q)) <= 1e-9

@@ -150,12 +150,6 @@ class TestCurvesCommand:
         beta = {r.split(",")[0]: float(r.split(",")[2]) for r in rows}
         assert beta["sec-lower"] < beta["sec-upper"] < beta["weak"]
 
-    def test_rerun_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run_cli("curves", "--grid", "0.2:0.8:0.2", "--out", str(a)) == 0
-        assert run_cli("curves", "--grid", "0.2:0.8:0.2", "--out", str(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_default_grid_csv_pinned(self, tmp_path, capsys):
         # The fixed-seed contract's curve bytes, on the default grid.
         out = tmp_path / "c.csv"

@@ -179,21 +179,14 @@ class TestEmitCurves:
 class TestSecLowerSweepCache:
     GRID = [0.2, 0.5, 0.8]
 
-    def test_solved_once_across_xi(self, monkeypatch):
-        calls = []
-        original = curves.sec_lower_solve
-
-        def counted(beta, *args, **kwargs):
-            calls.append(beta)
-            return original(beta, *args, **kwargs)
-
+    def test_solved_once_across_xi(self, count_calls):
         curves._sec_lower_sweep.cache_clear()
-        monkeypatch.setattr(curves, "sec_lower_solve", counted)
+        calls = count_calls(curves, "sec_lower_solve")
         first = emit_curves(self.GRID, xi_sk=0.3)
         second = emit_curves(self.GRID, xi_sk=XI_SK_DEFAULT)
-        assert len(calls) == 600
+        assert calls["sec_lower_solve"] == 600
         emit_curves(self.GRID, xi_sk=0.0)
-        assert len(calls) == 600
+        assert calls["sec_lower_solve"] == 600
         lower = [[p.beta for p in c.by_kind(CurveKind.SectionalLower)]
                  for c in (first, second)]
         assert lower[0] == lower[1]

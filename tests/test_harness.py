@@ -1,4 +1,5 @@
 import hashlib
+import json
 import multiprocessing
 import os
 import time
@@ -451,39 +452,50 @@ def test_worker_cap_itself_accepted(monkeypatch):
     assert len(cell.per_rep) == 1
 
 
-def test_import_loads_neither_sampler_nor_pool():
+# One fresh interpreter lists the sampler and pool modules it holds after
+# `import secthresh`, after a sample, and after a suite on two processes.
+LOADED_MODULES_CODE = """
+import json, sys
+
+def watched():
+    return [m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")
+            or m.split(".")[:2] == ["numpy", "random"]]
+
+import secthresh
+loaded = {"import": watched()}
+from secthresh import CellSpec, ProblemShape, run_suite, sample_gaussian_matrix
+sample_gaussian_matrix(ProblemShape(n=30, m=12, k=3), 5)
+loaded["sample"] = watched()
+[cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=2)], workers=2)
+assert len(cell.per_rep) == 2
+loaded["suite"] = watched()
+print(json.dumps(loaded))
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded_modules():
+    return json.loads(run_child("-c", LOADED_MODULES_CODE))
+
+
+def test_import_loads_neither_sampler_nor_pool(loaded_modules):
     # No process loads numpy.random (test_sampling_and_pool_never_load_numpy_random),
     # and none loads the standard process pool (test_parallel_suite_loads_no_pool_modules).
-    code = ("import sys, secthresh; "
-            "print([m for m in ('numpy.random', 'concurrent.futures', 'multiprocessing') "
-            "if m in sys.modules])")
-    assert run_child("-c", code) == "[]"
+    assert loaded_modules["import"] == []
 
 
-def test_sampling_and_pool_never_load_numpy_random():
+def test_sampling_and_pool_never_load_numpy_random(loaded_modules):
     # The Philox stream is computed in numpy integer arithmetic, so neither a
     # sample nor a two-process suite, whose child forks from this process,
     # loads numpy.random.
-    code = ("import sys; "
-            "from secthresh import CellSpec, ProblemShape, run_suite, sample_gaussian_matrix; "
-            "sample_gaussian_matrix(ProblemShape(n=30, m=12, k=3), 5); "
-            "[cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=2)], workers=2); "
-            "assert len(cell.per_rep) == 2; "
-            "print('numpy.random' in sys.modules)")
-    assert run_child("-c", code) == "False"
+    assert "numpy.random" not in loaded_modules["sample"] + loaded_modules["suite"]
 
 
-def test_parallel_suite_loads_no_pool_modules():
+def test_parallel_suite_loads_no_pool_modules(loaded_modules):
     # The pool is os.fork and pipes: a suite on two processes loads neither
     # concurrent.futures nor multiprocessing, whose pages every child would
     # also hold.
-    code = ("import sys; "
-            "from secthresh import CellSpec, run_suite; "
-            "[cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=2)], workers=2); "
-            "assert len(cell.per_rep) == 2; "
-            "print([m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')])")
-    assert run_child("-c", code) == "[]"
+    assert [m for m in loaded_modules["suite"] if not m.startswith("numpy.random")] == []
 
 
 BLAS_THREADS_CODE = """

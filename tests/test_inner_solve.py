@@ -1,10 +1,11 @@
 """The inner solve loop: bit identity of the compiled loop with the numpy
-loop, on two OpenBLAS cores, and the compiled loop taken wherever a compiler
-is; the early stop below a bound; and pins of the search: its call sequence
-on four small instances, on either loop, its outcomes per rep on table1 and
-table2, and the certificate the `tau` command writes for one cell, on either
-loop."""
+loop, on two OpenBLAS cores, the compiled loop's refusal of an M it cannot
+read, and the compiled loop taken wherever a compiler is; the early stop below
+a bound; and pins of the search: its call sequence on four small instances,
+on either loop, its outcomes per rep on table1 and table2, and the
+certificate the `tau` command writes for one cell, on either loop."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -26,21 +27,6 @@ from secthresh import (ProblemShape, _blas, bit_flip_search, builtin_suite, deri
 from test_api import add_refusal_tests
 
 
-def _search_solves(monkeypatch, P, k):
-    """The (M, c, x0, stop_below) of every inner solve one search runs, in order."""
-    calls = []
-    original = tau._box_lsq
-
-    def recording(M, c, x0, stop_below=None):
-        calls.append((M, c, x0.copy(), stop_below))
-        return original(M, c, x0, stop_below)
-
-    monkeypatch.setattr(tau, "_box_lsq", recording)
-    bit_flip_search(P, k)
-    monkeypatch.undo()
-    return calls
-
-
 def _assert_same_bits(M, c, x0, stop_below=None):
     """The compiled loop's solve equals the numpy loop's, bit for bit."""
     if _blas.box_lsq_kernel() is None:
@@ -56,33 +42,31 @@ class TestLoopBitIdentity:
     # (400,120) is a table1 shape; (200,180) and (300,180) are table2 shapes.
     @pytest.mark.parametrize("n, m, k, seed", [(400, 120, 21, 0), (200, 180, 66, 0),
                                                (300, 180, 44, 1)])
-    def test_search_solves(self, monkeypatch, n, m, k, seed):
-        calls = _search_solves(monkeypatch, projector(n, m, k, seed), k)
-        assert len(calls) >= 25
+    def test_search_solves(self, count_calls, n, m, k, seed):
+        calls = count_calls(tau, "_box_lsq")
+        bit_flip_search(projector(n, m, k, seed), k)
+        assert len(calls.log) >= 25
         # The first solve is cold; the rest start warm from an incumbent head.
-        for M, c, x0, _ in calls[:25]:
+        for solve in calls.log[:25]:
+            M, c, x0, _ = solve.args.values()
             _assert_same_bits(M, c, x0)
 
     @pytest.mark.parametrize("n, m, k, seed, stopped, bounded", [(200, 180, 66, 0, 229, 230),
                                                                   (400, 120, 21, 2, 34, 34)])
-    def test_stop_below_solves(self, monkeypatch, n, m, k, seed, stopped, bounded):
+    def test_stop_below_solves(self, count_calls, n, m, k, seed, stopped, bounded):
         # Every solve the search bounds; at (200,180,66) one of them runs to
         # its fixed point all the same.
-        calls = _search_solves(monkeypatch, projector(n, m, k, seed), k)
-        solves = [_assert_same_bits(*call) for call in calls if call[3] is not None]
+        calls = count_calls(tau, "_box_lsq")
+        bit_flip_search(projector(n, m, k, seed), k)
+        inputs = [solve.args for solve in calls.log if solve.args["stop_below"] is not None]
+        solves = [_assert_same_bits(**args) for args in inputs]
         assert (sum(flags[2] for flags in solves), len(solves)) == (stopped, bounded)
 
-    def test_restart_heavy_cases(self, monkeypatch):
+    def test_restart_heavy_cases(self, monkeypatch, count_calls):
         # The loop takes sqrt only on a momentum step, so the iterations that
         # did not call it are restarts.
-        momentum_steps = 0
-
-        def counting_sqrt(v):
-            nonlocal momentum_steps
-            momentum_steps += 1
-            return math.sqrt(v)
-
-        monkeypatch.setattr(tau, "math", types.SimpleNamespace(sqrt=counting_sqrt))
+        monkeypatch.setattr(tau, "math", types.SimpleNamespace(sqrt=math.sqrt))
+        calls = count_calls(tau.math, "sqrt")
         iterations = 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -91,15 +75,40 @@ class TestLoopBitIdentity:
             c = rng.standard_normal(size)
             x0 = rng.choice([-1.0, 1.0], size)  # a corner start
             iterations += _assert_same_bits(M, c, x0)[0]
-        restarts = iterations - momentum_steps
+        restarts = iterations - calls["sqrt"]
         assert restarts >= 150  # 166 of 2,970 steps restart
 
     @pytest.mark.parametrize("cap", [30, 25])
-    def test_iteration_cap(self, monkeypatch, cap):
-        P = projector(400, 120, 21, 0)
-        M, c, x0, _ = _search_solves(monkeypatch, P, 21)[0]
+    def test_iteration_cap(self, monkeypatch, count_calls, cap):
+        calls = count_calls(tau, "_box_lsq")
+        bit_flip_search(projector(400, 120, 21, 0), 21)
+        M, c, x0, _ = calls.log[0].args.values()
         monkeypatch.setattr(tau, "MAX_ITERATIONS", cap)
         assert _assert_same_bits(M, c, x0) == [cap, False, False]
+
+
+# Dperp layouts whose M the compiled loop refuses: its C call reads M through
+# a raw pointer as float64 rows of unit column stride.  The float32 columns
+# sit 8 bytes apart, as float64 columns do, so only the dtype test refuses them.
+REFUSED_LAYOUTS = {"fortran-order": np.asfortranarray,
+                   "float32": lambda Dperp: np.repeat(Dperp.astype(np.float32), 2, 1)[:, ::2],
+                   "reversed-columns": lambda Dperp: Dperp[:, ::-1]}
+
+
+@pytest.mark.parametrize("layout", REFUSED_LAYOUTS)
+def test_compiled_loop_refuses_layout(layout):
+    # A refused M falls back to the numpy loop; the seeded projector's own
+    # layout, float64 rows of unit column stride, is the control.
+    kernel = _blas.box_lsq_kernel()
+    if kernel is None:
+        pytest.skip("no compiled loop on this host")
+    n, k = 40, 25
+    P = projector(n, 30, k, 0)
+    relaid = dataclasses.replace(P, Dperp=REFUSED_LAYOUTS[layout](P.Dperp))
+    for Q, accepted in ((P, True), (relaid, False)):
+        M, c, x0 = Q.Dperp[:, :n - k], Q.Dperp[:, n - k:] @ np.ones(k), np.zeros(n - k)
+        assert (kernel(M, c, x0, 10, 1, 0.0, None) is not None) is accepted
+        _assert_same_bits(M, c, x0)
 
 
 # OpenBLAS cores, each with a CPU feature (numpy's name) it needs.
@@ -161,30 +170,16 @@ def test_two_processes_build_into_an_empty_cache(tmp_path):
     assert re.fullmatch(r"_box_lsq-[0-9a-f]{8}\.so", library.name)
 
 
-def _stopped_solves(monkeypatch, P, k):
-    """Every (b, x0, bound, solve) of one search whose solve stopped early."""
-    stopped = []
-    original = tau.dual_distance
-
-    def recording(P, k, b, x0=None, stop_below=None):
-        solve = original(P, k, b, x0=x0, stop_below=stop_below)
-        if solve.stopped_below:
-            stopped.append((np.array(b), None if x0 is None else x0.copy(), stop_below,
-                            solve))
-        return solve
-
-    monkeypatch.setattr(tau, "dual_distance", recording)
-    bit_flip_search(P, k)
-    monkeypatch.undo()
-    return stopped
-
-
 class TestEarlyStop:
     @pytest.mark.parametrize("n, m, k, seed", [(200, 180, 66, 0), (200, 140, 38, 1),
                                                (300, 180, 44, 2), (400, 120, 21, 2)])
-    def test_stopped_solves_are_sound(self, monkeypatch, n, m, k, seed):
+    def test_stopped_solves_are_sound(self, count_calls, n, m, k, seed):
         P = projector(n, m, k, seed)
-        stopped = _stopped_solves(monkeypatch, P, k)
+        calls = count_calls(tau, "dual_distance")
+        bit_flip_search(P, k)
+        # (b, x0, bound, solve) of every solve that stopped early.
+        stopped = [(call.args["b"], call.args["x0"], call.args["stop_below"], call.result)
+                   for call in calls.log if call.result.stopped_below]
         assert len(stopped) >= 30
         for b, x0, bound, solve in stopped:
             assert bound == tau.positivity_threshold(n)
@@ -227,45 +222,40 @@ SEARCH_ENDINGS = ((24, 12, 4, 4, None), (30, 20, 8, 2, None),
                   (16, 10, 4, 3, None), (16, 10, 4, 3, 1))
 
 
-def _assert_search_call_sequence(monkeypatch):
+def _assert_search_call_sequence(monkeypatch, count_calls):
     # The benchmark counts the search's solves and certificate calls and
     # rebuilds its accepted flips from their patterns, so each call keeps its
     # order, pattern, warm start and bound.
-    h = hashlib.sha256()
     endings = []
-    solve_original, certify_original = tau.dual_distance, tau.extract_certificate
     default_passes = tau.MAX_PASSES
-
-    def solve(P, k, b, x0=None, stop_below=None):
-        h.update(b"solve" + np.asarray(b, dtype=float).tobytes())
-        h.update(b"cold" if x0 is None else np.asarray(x0).tobytes())
-        h.update(b"none" if stop_below is None else stop_below.hex().encode())
-        return solve_original(P, k, b, x0=x0, stop_below=stop_below)
-
-    def certify(P, k, s):
-        h.update(b"certify" + (-s.z_star[-k:]).tobytes())
-        return certify_original(P, k, s)
-
-    monkeypatch.setattr(tau, "dual_distance", solve)
-    monkeypatch.setattr(tau, "extract_certificate", certify)
+    calls = count_calls(tau, "dual_distance", "extract_certificate")
     for n, m, k, seed, passes in SEARCH_ENDINGS:
         monkeypatch.setattr(tau, "MAX_PASSES", passes or default_passes)
         out = bit_flip_search(projector(n, m, k, seed), k)
         endings.append((out.verdict.value, out.flips_evaluated))
     assert endings == [("CertifiedFailure", 0), ("CertifiedFailure", 13),
                        ("NotCertified", 10), ("NotCertified", 4)]
+    h = hashlib.sha256()
+    for call in calls.log:
+        args = call.args
+        if call.name == "extract_certificate":
+            h.update(b"certify" + (-args["solve"].z_star[-args["k"]:]).tobytes())
+            continue
+        h.update(b"solve" + np.asarray(args["b"], dtype=float).tobytes())
+        h.update(b"cold" if args["x0"] is None else np.asarray(args["x0"]).tobytes())
+        h.update(b"none" if args["stop_below"] is None else args["stop_below"].hex().encode())
     assert h.hexdigest() == (
         "44e46f62f3acbfbef0e605f475de55d9a51394a5e0d41a8dc3b142e50c24e6e4"), pinned_on()
 
 
-def test_search_call_sequence_pinned(monkeypatch):
-    _assert_search_call_sequence(monkeypatch)
+def test_search_call_sequence_pinned(monkeypatch, count_calls):
+    _assert_search_call_sequence(monkeypatch, count_calls)
 
 
 def test_search_call_sequence_pinned_on_the_numpy_loop(monkeypatch, count_calls):
     monkeypatch.setattr(_blas, "box_lsq_kernel", lambda: None)
     calls = count_calls(tau, "_box_lsq_numpy")
-    _assert_search_call_sequence(monkeypatch)
+    _assert_search_call_sequence(monkeypatch, count_calls)
     assert calls["_box_lsq_numpy"] > 0
 
 

@@ -10,7 +10,7 @@ from secthresh import (NumericalError, ProblemShape,
                        derive_rep_seed, null_projector, sample_gaussian_matrix)
 from secthresh._blas import one_thread, thread_functions
 from secthresh.instances import _PHILOX_CHUNK, _philox_raw
-from conftest import pinned_on
+from conftest import pinned_on, projector
 from test_api import add_refusal_tests
 
 
@@ -96,10 +96,8 @@ class TestNullProjector:
         np.testing.assert_allclose(row, want, atol=1e-12)
 
     def test_invariants_random_instance(self):
-        shape = ProblemShape(n=8, m=4, k=2)
-        inst = sample_gaussian_matrix(shape, 77)
-        P = null_projector(inst.A)
-        A = inst.A
+        P = projector(8, 4, 2, 77)
+        A = P.A
         fro = np.linalg.norm(A)
         assert np.max(np.abs(P.Dperp @ A.T)) <= 1e-10 * fro
         gram = P.Dperp @ P.Dperp.T
@@ -108,8 +106,7 @@ class TestNullProjector:
         assert np.max(np.abs(Q @ Q - Q)) <= 1e-9
 
     def test_projector_spectrum(self):
-        shape = ProblemShape(n=20, m=7, k=3)
-        P = null_projector(sample_gaussian_matrix(shape, 5).A)
+        P = projector(20, 7, 3, 5)
         Q = P.Dperp.T @ P.Dperp
         eig = np.sort(np.linalg.eigvalsh(Q))
         np.testing.assert_allclose(eig[:7], 0.0, atol=1e-8)

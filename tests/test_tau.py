@@ -254,21 +254,14 @@ class TestOptionsAndOutcome:
                              certificate=certificate, flips_evaluated=0)
             assert out.verdict is verdict
 
-    def test_unconverged_solves_counted(self, monkeypatch):
+    def test_unconverged_solves_counted(self, monkeypatch, count_calls):
         inst = sample_gaussian_matrix(ProblemShape(n=30, m=20, k=8), 2)
         assert estimate_failure(inst, 8).unconverged_solves == 0
         # Capped at 3 iterations, no solve of this search reaches its fixed point.
-        converged = []
-        solve = tau.dual_distance
-
-        def recorded(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            converged.append(result.converged)
-            return result
-
         monkeypatch.setattr(tau, "MAX_ITERATIONS", 3)
-        monkeypatch.setattr(tau, "dual_distance", recorded)
+        calls = count_calls(tau, "dual_distance")
         out = estimate_failure(inst, 8)
+        converged = [call.result.converged for call in calls.log]
         assert out.unconverged_solves == converged.count(False) == len(converged) == 17
         assert out.flips_evaluated == 16 and out.verdict is Verdict.NotCertified
 
