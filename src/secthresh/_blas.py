@@ -127,7 +127,9 @@ def box_lsq_kernel() -> Optional[Callable]:
     stop_below) and returns (x, iterations, converged, stopped) as the numpy
     loop does, or None for input that numpy's matmul does not hand to gemv as
     it is (a single row or column, or an M that is not float64 rows of unit
-    column stride) and for check_every < 1.
+    column stride) and for check_every < 1.  M's rows may sit further apart
+    than their length, as the rows of a padded basis from
+    ``instances.null_projector`` do: the row stride goes to gemv as its lda.
     """
     blas = next((lib for lib in _openblas() if hasattr(lib, _GEMV) and hasattr(lib, _DOT)), None)
     library = None if blas is None else _library()
@@ -152,15 +154,17 @@ def box_lsq_kernel() -> Optional[Callable]:
                 or row_stride % 8 or row_stride < 8 * cols or c.shape != (rows,)
                 or x0.shape != (cols,) or check_every < 1):
             return None
-        c = np.ascontiguousarray(c, dtype=np.float64)
-        x = np.array(x0, dtype=np.float64)
-        work = np.empty(4 * cols + rows)
+        # x, c and the loop's work vectors in one buffer, whose address is read once.
+        buf = np.empty(5 * cols + 2 * rows)
+        buf[:cols] = x0
+        buf[cols:cols + rows] = c
+        at = buf.ctypes.data
         status = ctypes.c_int()
         # A negative bound never stops: a squared norm is never negative.
         stop_sq = -1.0 if stop_below is None else stop_below * stop_below
-        it = kernel(gemv, dot, rows, cols, M.ctypes.data, row_stride // 8, c.ctypes.data,
-                    x.ctypes.data, work.ctypes.data, max_iterations, check_every, tol,
-                    stop_sq, ctypes.byref(status))
-        return x, it, status.value != 0, status.value == 2
+        it = kernel(gemv, dot, rows, cols, M.ctypes.data, row_stride // 8, at + 8 * cols, at,
+                    at + 8 * (cols + rows), max_iterations, check_every, tol, stop_sq,
+                    ctypes.byref(status))
+        return buf[:cols], it, status.value != 0, status.value == 2
 
     return box_lsq

@@ -133,7 +133,7 @@ class TauOutcome:
 def as_sign_pattern(b, k: int) -> np.ndarray:
     """Validate and canonicalize a +-1 pattern of length k, as a new array."""
     arr = vector(b, "sign pattern", k).copy()
-    if not np.all(np.abs(arr) == 1.0):
+    if np.count_nonzero(np.abs(arr) != 1.0):  # nan too
         raise DomainError("sign pattern entries must be exactly +-1")
     return arr
 

@@ -86,6 +86,40 @@ class TestLoopBitIdentity:
         monkeypatch.setattr(tau, "MAX_ITERATIONS", cap)
         assert _assert_same_bits(M, c, x0) == [cap, False, False]
 
+    # (300,180) is a table2 shape whose basis rows are padded (300 % 8 = 4),
+    # (400,80) a table1 shape whose rows are not.  Each copy of the bases is
+    # given as (offset of its first row past a 64-byte boundary, padded rows).
+    @pytest.mark.parametrize("n, m, k, seed", [(300, 180, 44, 1), (400, 80, 13, 0)])
+    def test_search_bits_independent_of_basis_layout(self, n, m, k, seed):
+        P = projector(n, m, k, seed)
+        want = _outcome_bits(bit_flip_search(P, k))
+        for offset, padded in ((8, True), (16, True), (32, True), (0, False)):
+            relaid = dataclasses.replace(P, Dperp=_relaid(P.Dperp, offset, padded),
+                                         rowspace=_relaid(P.rowspace, offset, padded))
+            assert _outcome_bits(bit_flip_search(relaid, k)) == want, (offset, padded)
+
+
+def _relaid(a, offset, padded):
+    """A read-only copy of the basis a whose first row starts ``offset`` bytes
+    past a 64-byte boundary, with a's row stride or, unpadded, none."""
+    rows, cols = a.shape
+    stride = a.strides[0] // 8 if padded else cols
+    raw = np.empty(rows * stride + 16)
+    skip = (-raw.ctypes.data % 64 + offset) // 8
+    out = raw[skip:skip + rows * stride].reshape(rows, stride)[:, :cols]
+    out[...] = a
+    out.setflags(write=False)
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+def _outcome_bits(out):
+    """A search's verdict, flips, best pattern, best-distance bits and certificate bytes."""
+    cert = out.certificate
+    return (out.verdict, out.flips_evaluated, out.best_b.tobytes(), out.best_distance.hex(),
+            None if cert is None else (cert.w.tobytes(), cert.head_l1.hex(),
+                                       cert.tail_l1.hex(), cert.nullspace_residual.hex()))
+
 
 # Dperp layouts whose M the compiled loop refuses: its C call reads M through
 # a raw pointer as float64 rows of unit column stride.  The float32 columns
@@ -126,9 +160,11 @@ def test_loop_bits_on_openblas_core(core):
     env = {"OPENBLAS_CORETYPE": core}
     assert run_child("-c", "import numpy, secthresh._blas as b; print(b.corename())",
                      env=env) == core
-    out = run_child("-m", "pytest", "-q", "-p", "no:cacheprovider",
+    out = run_child("-m", "pytest", "-p", "no:cacheprovider",
                     f"{TESTS / 'test_inner_solve.py'}::TestLoopBitIdentity", env=env)
-    assert re.search(r"\b8 passed\b", out) and "skipped" not in out, out
+    # Every test the class collects passes: none fails, errs or is skipped.
+    collected = re.search(r"\bcollected (\d+) items?\b", out)
+    assert collected and re.search(rf"= {collected[1]} passed(, \d+ warnings?)? in ", out), out
 
 
 def _compiler():

@@ -8,7 +8,7 @@ import pytest
 
 from secthresh import (NumericalError, ProblemShape,
                        derive_rep_seed, null_projector, sample_gaussian_matrix)
-from secthresh._blas import one_thread, thread_functions
+from secthresh._blas import box_lsq_kernel, one_thread, thread_functions
 from secthresh.instances import _PHILOX_CHUNK, _philox_raw
 from conftest import pinned_on, projector
 from test_api import add_refusal_tests
@@ -116,6 +116,25 @@ class TestNullProjector:
         A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
         with pytest.raises(NumericalError):
             null_projector(A)
+
+    # n % 8 = 4, 0 and 5.
+    @pytest.mark.parametrize("n, m, k", [(300, 180, 44), (400, 80, 13), (13, 5, 3)])
+    def test_bases_are_aligned_rows_of_the_svd(self, n, m, k):
+        # Each row starts on a cache line, no basis is writable, and the
+        # bases hold the SVD's bits split at m.
+        P = projector(n, m, k, 1)
+        with one_thread():
+            vh = np.linalg.svd(P.A, full_matrices=True)[2]
+        for basis, want in ((P.rowspace, vh[:m]), (P.Dperp, vh[m:])):
+            assert basis.dtype == np.float64 and basis.strides[1] == 8
+            assert basis.strides[0] % 64 == 0 and basis.ctypes.data % 64 == 0
+            assert not basis.flags.writeable
+            assert basis.tobytes() == want.tobytes()
+        kernel = box_lsq_kernel()
+        if kernel is not None:  # a host with the compiled loop reads M as it is
+            M = P.Dperp[:, :n - k]
+            assert kernel(M, P.Dperp[:, n - k:] @ np.ones(k), np.zeros(n - k),
+                          1, 1, 0.0, None) is not None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_is_numerical_error(self, bad):
