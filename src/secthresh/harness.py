@@ -1,22 +1,20 @@
 """Monte Carlo harness: failure-rate estimation over (n, m, k) cells.
 
 Each cell draws ``reps`` seeded Gaussian instances, runs the certification
-pipeline on each, and reports the fraction certified.  A suite lists every rep
-of every cell as one task list, and ``workers`` processes work it: the calling
-process and ``workers - 1`` children it forks.  Each takes the next rep from
-one shared index, a counter handed along a pipe, so none sits idle at a cell
-boundary; a child pickles its records into its own pipe.  Per-rep seeds are
+pipeline on each, and reports the fraction certified.  Every k of one
+(n, m, rep seed) draws the same matrix, so a task is one instance: the
+(cell, rep) slots that draw it, in suite order.  A suite lists its tasks in
+the order their instance first appears, and ``workers`` processes work them:
+the calling process and ``workers - 1`` children it forks.  Each takes the
+next instance from one shared index, a counter handed along a pipe, samples
+and factors it once, and runs every slot's search on it; so a suite factors
+each matrix once at any worker count, and no process sits idle at a cell
+boundary.  A child pickles its records into its own pipe.  Per-rep seeds are
 pre-derived from the cell's base seed, so results do not depend on the
-scheduling or on the worker count.  No process loads numpy's ``random``
-package: ``instances`` computes the Philox stream itself.
-
-Rep j of every cell with one (n, m, base seed) draws the same instance, so
-the task list holds those reps side by side: groups in the order their
-(n, m, base seed) first appears, then rep, then cell.  Each process keeps the
-last instance it factored, one at a time, and runs every k of the group
-that it takes on it, so it samples and factors an instance once rather than
-once a k.  Each rep is timed here, once: its search and certificate checks,
-plus the factorization in the rep that made it, never the sampling.
+scheduling or on the worker count.  Each slot is timed here, once: its search
+and certificate checks, plus the factorization in the instance's first slot,
+never the sampling.  No process loads numpy's ``random`` package:
+``instances`` computes the Philox stream itself.
 
 The reference counts from the original simulation study are embedded for
 side-by-side reporting; their occasionally ragged denominators (57, 27, 28,
@@ -37,7 +35,7 @@ from .errors import DomainError, SecthreshError, count, dimensions, seed64
 from .instances import ProblemShape, derive_rep_seed, null_projector, sample_gaussian_matrix
 from .tau import Verdict, _search_checked
 
-# A suite's (cell, rep) tasks are listed before any rep runs, so the rep count
+# A suite's (cell, rep) slots are listed before any rep runs, so the rep count
 # is capped to keep that list small.
 MAX_REPS = 100_000
 # Every worker but the caller is a forked process, so the count is capped.
@@ -66,8 +64,8 @@ class RepRecord:
     """One rep's outcome.  ``error`` is empty unless the rep raised a library
     error; then it reads "Type: message" and the verdict is NotCertified.
     ``seconds`` is the rep's search and certificate checks, plus the
-    factorization only if this rep made it (the reps of an instance share
-    one), and is 0 for a rep with an ``error``."""
+    factorization if this is the first rep, in suite order, of the reps that
+    share its instance, and is 0 for a rep with an ``error``."""
 
     seed: int
     verdict: Verdict
@@ -174,42 +172,45 @@ def builtin_suite(name: str, reps: int = 25, base_seed: int = 0) -> list[CellSpe
     return cells
 
 
-# This process's last factored instance, ((n, m, seed), its NullProjector),
-# or None.  run_suite empties it when it starts and when it ends.
-_cached = None
+def _failed(seed: int, exc: SecthreshError) -> RepRecord:
+    return RepRecord(seed=seed, verdict=Verdict.NotCertified, flips=0, seconds=0.0,
+                     error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_rep(args: tuple[int, int, int, int]) -> RepRecord:
-    global _cached
-    n, m, k, seed = args
-    key = (n, m, seed)
-    if _cached is not None and _cached[0] != key:
-        _cached = None  # dropped first, so a process holds one instance at a time
-    if _cached is None:
-        A = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=k), seed).A
-    started = time.perf_counter()
+def _run_instance(task: tuple) -> list[RepRecord]:
+    """Sample and factor one instance, task[0] = (n, m, seed), then search it
+    for each (cell, rep, k) slot of task[1] in turn: one record a slot, the
+    factorization timed into the first."""
+    (n, m, seed), slots = task
+    A = sample_gaussian_matrix(ProblemShape(n=n, m=m, k=slots[0][2]), seed).A
+    records, started = [], time.perf_counter()
     try:
-        if _cached is None:
-            _cached = key, null_projector(A)
-        outcome = _search_checked(_cached[1], k)
+        P = null_projector(A)
     except SecthreshError as exc:
-        return RepRecord(seed=seed, verdict=Verdict.NotCertified, flips=0, seconds=0.0,
-                         error=f"{type(exc).__name__}: {exc}")
-    return RepRecord(seed=seed, verdict=outcome.verdict, flips=outcome.flips_evaluated,
-                     seconds=time.perf_counter() - started,
-                     unconverged_solves=outcome.unconverged_solves)
+        return [_failed(seed, exc)] * len(slots)
+    for _, _, k in slots:
+        try:
+            out = _search_checked(P, k)
+        except SecthreshError as exc:
+            records.append(_failed(seed, exc))
+        else:
+            records.append(RepRecord(seed=seed, verdict=out.verdict, flips=out.flips_evaluated,
+                                     seconds=time.perf_counter() - started,
+                                     unconverged_solves=out.unconverged_solves))
+        started = time.perf_counter()
+    return records
 
 
-def _drain(tasks: list, token: tuple[int, int]) -> list[tuple[int, RepRecord]]:
+def _drain(tasks: list, token: tuple[int, int]) -> list[tuple[int, list[RepRecord]]]:
     """Run tasks by the shared index, lowest first, until none is left, and
-    return (task index, record) pairs.  The token pipe holds the index."""
+    return (task index, records) pairs.  The token pipe holds the index."""
     done = []
     while True:
         i = int.from_bytes(os.read(token[0], 8), "little")
         os.write(token[1], (i + 1).to_bytes(8, "little"))
         if i >= len(tasks):
             return done
-        done.append((i, _run_rep(tasks[i])))
+        done.append((i, _run_instance(tasks[i])))
 
 
 def _fork_worker(tasks: list, token: tuple[int, int]):
@@ -234,29 +235,26 @@ def _fork_worker(tasks: list, token: tuple[int, int]):
 
 
 def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
-    """Run cells, any iterable of CellSpec, in order, every rep of the suite
-    on ``workers`` processes: this one and ``workers - 1`` forked children,
-    which take reps from one shared index; the results do not depend on the
-    worker count.  Reps that draw one instance run side by side, and a process
-    factors it once for all of those it takes (see the module docstring).
-    A rep's library error is kept in its ``error``.  Any other
-    exception in a child is raised here with its type, a child that dies
-    without a result raises ChildProcessError, and no child outlives the call.
-    ``workers`` lies in 1..MAX_WORKERS; no more processes run than reps, each
-    on one BLAS thread."""
-    global _cached
+    """Run cells, any iterable of CellSpec, in order, every instance of the
+    suite on ``workers`` processes: this one and ``workers - 1`` forked
+    children, which take instances from one shared index; the results do not
+    depend on the worker count.  Each instance is sampled and factored once
+    for all the reps that draw it (see the module docstring).  A rep's
+    library error is kept in its ``error``.  Any other exception in a child
+    is raised here with its type, a child that dies without a result raises
+    ChildProcessError, and no child outlives the call.  ``workers`` lies in
+    1..MAX_WORKERS; no more processes run than instances, each on one BLAS
+    thread."""
     cells = list(cells)
     workers = count(workers, "workers", 1, MAX_WORKERS)
-    groups: dict[tuple[int, int, int], int] = {}
-    for spec in cells:
-        groups.setdefault((spec.n, spec.m, spec.base_seed), len(groups))
-    # (group, rep, cell) of each task, in the order the tasks run.
-    slots = sorted((groups[spec.n, spec.m, spec.base_seed], r, c)
-                   for c, spec in enumerate(cells) for r in range(spec.reps))
-    tasks = [(cells[c].n, cells[c].m, cells[c].k, derive_rep_seed(cells[c].base_seed, r))
-             for _, r, c in slots]
+    # The (cell, rep, k) slots of each instance, (n, m, rep seed), in suite order.
+    slots: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for c, spec in enumerate(cells):
+        for r in range(spec.reps):
+            key = spec.n, spec.m, derive_rep_seed(spec.base_seed, r)
+            slots.setdefault(key, []).append((c, r, spec.k))
+    tasks = list(slots.items())
     _blas.box_lsq_kernel()  # built and loaded once, here, for the children too
-    _cached = None
     with _blas.one_thread():
         token, children, sent, codes = os.pipe(), [], None, []
         os.write(token[1], bytes(8))
@@ -266,7 +264,6 @@ def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
             done = _drain(tasks, token)
             sent = [pipe.read() for _, pipe in children]
         finally:
-            _cached = None
             for pid, pipe in children:
                 pipe.close()
                 if sent is None:  # the children may still be at work
@@ -281,7 +278,7 @@ def run_suite(cells: Iterable[CellSpec], workers: int = 1) -> list[CellResult]:
             raise result
         done += result
     per_cell = [[None] * spec.reps for spec in cells]
-    for i, record in done:
-        _, r, c = slots[i]
-        per_cell[c][r] = record
+    for i, records in done:
+        for (c, r, _), record in zip(tasks[i][1], records):
+            per_cell[c][r] = record
     return [CellResult(spec, tuple(reps)) for spec, reps in zip(cells, per_cell)]

@@ -348,7 +348,7 @@ REFUSALS = {
 # What no refusal may reach: sampling, factoring, an inner solve, a curve
 # root, a rep or a child process.
 NO_WORK = [(instances, "_philox_normals"), (np.linalg, "svd"), (tau, "_box_lsq"),
-           (curves, "erfinv"), (harness, "_run_rep"), (os, "fork")]
+           (curves, "erfinv"), (harness, "_run_instance"), (os, "fork")]
 
 
 def refusal_inputs():

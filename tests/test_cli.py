@@ -43,7 +43,7 @@ def refuses(tmp_path, capsys, forbid):
         before = sorted(tmp_path.rglob("*"))
         if code == 2:
             for module, name in [(cli, "sample_gaussian_matrix"), (tau, "null_projector"),
-                                 (curves, "erfinv"), (harness, "_run_rep"), (os, "fork")]:
+                                 (curves, "erfinv"), (harness, "_run_instance"), (os, "fork")]:
                 forbid(module, name)
         assert run_cli(*argv) == code
         out, err = capsys.readouterr()

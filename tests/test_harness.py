@@ -199,19 +199,14 @@ MIXED_SUITE = [CellSpec(n=30, m=24, k=12, reps=2, base_seed=1),
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pid of every child forked while the test runs."""
-    pids = []
-    fork = os.fork
+def forks(count_calls):
+    """The record of every os.fork call while the test runs; in the caller
+    each call's result is the pid of the child it forked."""
+    return count_calls(os, "fork")
 
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
+def pids(forks):
+    return sorted(call.result for call in forks.log)
 
 
 def rep_fields(results):
@@ -234,9 +229,9 @@ def test_run_suite_takes_a_generator():
 
 def test_suite_on_one_pool_identical_across_workers(forks):
     serial = run_suite(MIXED_SUITE, workers=1)
-    assert forks == []
+    assert forks["fork"] == 0
     parallel = run_suite(MIXED_SUITE, workers=2)
-    assert len(forks) == 1  # one child for all three cells, beside the caller
+    assert forks["fork"] == 1  # one child for all three cells, beside the caller
     assert rep_fields(serial) == rep_fields(parallel)
     assert cell_fields(serial) == cell_fields(parallel)
     assert [len(res.per_rep) for res in parallel] == [2, 3, 1]
@@ -246,11 +241,11 @@ def test_suite_on_one_pool_identical_across_workers(forks):
 def test_more_workers_than_tasks(forks):
     cells = MIXED_SUITE[:1]
     parallel = run_suite(cells, workers=8)
-    assert len(forks) == 1  # two processes for the two reps: the caller and a child
+    assert forks["fork"] == 1  # two processes for the two reps: the caller and a child
     assert rep_fields(parallel) == rep_fields(run_suite(cells))
     # A single rep needs no child at all.
     run_suite([MIXED_SUITE[2]], workers=8)
-    assert len(forks) == 1
+    assert forks["fork"] == 1
 
 
 def test_caller_runs_reps_beside_its_children(monkeypatch):
@@ -259,33 +254,33 @@ def test_caller_runs_reps_beside_its_children(monkeypatch):
     caller = os.getpid()
     caller_done = multiprocessing.get_context("fork").Event()
     caller_seeds = []
-    run_rep = harness._run_rep
+    run_instance = harness._run_instance
 
     def gated(task):
         if os.getpid() != caller:
             assert caller_done.wait(timeout=120), "the caller ran no rep"
-            return run_rep(task)
-        record = run_rep(task)
-        caller_seeds.append(record.seed)
+            return run_instance(task)
+        records = run_instance(task)
+        caller_seeds.extend(record.seed for record in records)
         caller_done.set()
-        return record
+        return records
 
-    monkeypatch.setattr(harness, "_run_rep", gated)
+    monkeypatch.setattr(harness, "_run_instance", gated)
     two = run_suite(MIXED_SUITE, workers=2)
     assert caller_seeds
-    monkeypatch.setattr(harness, "_run_rep", run_rep)
+    monkeypatch.setattr(harness, "_run_instance", run_instance)
     serial = run_suite(MIXED_SUITE, workers=1)
     assert rep_fields(two) == rep_fields(serial) == rep_fields(run_suite(MIXED_SUITE, workers=3))
     assert cell_fields(two) == cell_fields(serial)
 
 
 def _child_reps_do(monkeypatch, child, caller=None):
-    """A child calls child() in place of each rep it takes.  The caller waits
-    at its first rep until a child has taken one, then calls caller(), if
-    given, and runs its reps."""
+    """A child calls child() in place of each instance it takes.  The caller
+    waits at its first instance until a child has taken one, then calls
+    caller(), if given, and runs its instances."""
     caller_pid = os.getpid()
     child_took_rep = multiprocessing.get_context("fork").Event()
-    run_rep = harness._run_rep
+    run_instance = harness._run_instance
 
     def gated(task):
         if os.getpid() != caller_pid:
@@ -294,9 +289,9 @@ def _child_reps_do(monkeypatch, child, caller=None):
         assert child_took_rep.wait(timeout=120), "no child took a rep"
         if caller is not None:
             caller()
-        return run_rep(task)
+        return run_instance(task)
 
-    monkeypatch.setattr(harness, "_run_rep", gated)
+    monkeypatch.setattr(harness, "_run_instance", gated)
 
 
 def _raise(exc):
@@ -353,7 +348,7 @@ def test_every_child_forked_and_reaped_through_os(monkeypatch, forks, reaps):
     # A memory probe that hooks os.fork and os.waitpid sees every child of a
     # suite, and none is left once run_suite returns or raises.
     assert rep_fields(run_suite(MIXED_SUITE, workers=3)) == rep_fields(run_suite(MIXED_SUITE))
-    assert len(forks) == 2 and sorted(reaps) == sorted(forks)
+    assert forks["fork"] == 2 and sorted(reaps) == pids(forks)
     assert_no_child_left()
     # A child dies; a child raises; the caller raises while its children
     # are still busy, and they are killed.
@@ -361,11 +356,11 @@ def test_every_child_forked_and_reaped_through_os(monkeypatch, forks, reaps):
                                   (lambda: _raise(SystemExit(3)), None, SystemExit),
                                   (lambda: time.sleep(120), lambda: _raise(KeyError("caller")),
                                    KeyError)]:
-        forks.clear(), reaps.clear()
+        forks.log.clear(), reaps.clear()
         _child_reps_do(monkeypatch, child, caller)
         with pytest.raises(raised):
             run_suite(MIXED_SUITE, workers=3)
-        assert len(forks) == 2 and sorted(reaps) == sorted(forks)
+        assert forks["fork"] == 2 and sorted(reaps) == pids(forks)
         assert_no_child_left()
 
 
@@ -427,15 +422,31 @@ def test_factorization_error_reaches_every_rep_sharing_it(monkeypatch):
         assert hit == 3  # rep 0 of the second, fourth and last cell
 
 
-def test_no_instance_cached_after_a_suite(monkeypatch):
-    # The cache holds at most one instance a process, and only while
-    # run_suite runs, whether it returns or raises.
-    run_suite(SHARED_SUITE[:2])
-    assert harness._cached is None
-    monkeypatch.setattr(harness, "_search_checked", lambda P, k: _raise(KeyError("search")))
-    with pytest.raises(KeyError, match="search"):
-        run_suite(SHARED_SUITE[:2])
-    assert harness._cached is None
+def test_each_instance_factored_once_across_processes(monkeypatch, tmp_path):
+    # A slow stand-in factorization appends a line to one file from whichever
+    # process makes it, so the count covers the forked children too.
+    made = tmp_path / "factorizations"
+    factor = harness.null_projector
+
+    def slow(A):
+        fd = os.open(made, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, f"{os.getpid()}\n".encode())
+        os.close(fd)
+        time.sleep(0.2)
+        return factor(A)
+
+    monkeypatch.setattr(harness, "null_projector", slow)
+    for workers in (1, 2, 3):
+        made.write_text("")
+        results = run_suite(SHARED_SUITE, workers)
+        assert len(made.read_text().splitlines()) == 7
+        # Only each instance's first rep, in suite order, pays for its factorization.
+        seen = set()
+        for res in results:
+            for r in res.per_rep:
+                first = (res.spec.n, res.spec.m, r.seed) not in seen
+                seen.add((res.spec.n, res.spec.m, r.seed))
+                assert (r.seconds >= 0.2) == first, (workers, res.spec, r)
 
 
 def test_shared_index_hands_out_each_rep_once():
@@ -509,25 +520,25 @@ if not getters:
     raise SystemExit(print("no setter"))
 threads = getters[0]
 caller, child_ran = os.getpid(), multiprocessing.get_context("fork").Event()
-run_rep = harness._run_rep
+run_instance = harness._run_instance
 
 def traced(task):
-    # The caller's first rep waits for a child's, so both run at least one.
+    # The caller's first instance waits for a child's, so both run at least one.
     if os.getpid() == caller:
         assert child_ran.wait(timeout=120), "no child ran a rep"
-    record = run_rep(task)
+    records = run_instance(task)
     child_ran.set()
     where = "caller" if os.getpid() == caller else "child"
-    return dataclasses.replace(record, error=f"{where}:{threads()}")
+    return [dataclasses.replace(record, error=f"{where}:{threads()}") for record in records]
 
 def raising(task):
     raise RuntimeError("a rep that raises")
 
 before = threads()
-harness._run_rep = traced
+harness._run_instance = traced
 [cell] = run_suite([CellSpec(n=24, m=18, k=9, reps=4)], workers=2)
 after = threads()
-harness._run_rep = raising
+harness._run_instance = raising
 try:
     run_suite([CellSpec(n=24, m=18, k=9, reps=1)])
 except RuntimeError:
